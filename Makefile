@@ -5,7 +5,7 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test bench-smoke adaptive-smoke queue-smoke net-smoke store-smoke phy-smoke bench docs-check docs-links sweeps protocols protocol-coverage check ci
+.PHONY: test bench-smoke adaptive-smoke queue-smoke net-smoke store-smoke phy-smoke perf-check bench docs-check docs-links sweeps protocols protocol-coverage check ci
 
 ## tier-1 test suite (fast, deterministic) -- must stay green
 test:
@@ -87,6 +87,25 @@ phy-smoke:
 	$(PYTHON) -m pytest -q tests/test_phy_fingerprint.py
 	@echo "make phy-smoke: OK (3x3 radio/MAC grid, warm zero-exec replay, fingerprints match golden)"
 
+## the repo benchmark's correctness check as a gate: each perfbench
+## workload runs one operation and its last stdout line must report
+## "correct": true, i.e. the 200-node HVDB and flooding runs reproduce
+## their reference rows and the phy_smoke sweep its CSV digests
+## (perfbench/reference.json)
+PERF_CHECK_DIR := .ci/perf-check
+PERF_CHECK_WORKLOADS := hvdb_200 flood_200 sweep_phy_smoke
+perf-check:
+	rm -rf $(PERF_CHECK_DIR)
+	mkdir -p $(PERF_CHECK_DIR)
+	for w in $(PERF_CHECK_WORKLOADS); do \
+	  out=$(PERF_CHECK_DIR)/$$w.out; \
+	  $(PYTHON) perfbench/run.py --workload $$w --seconds 0 > $$out \
+	    && tail -n 1 $$out | $(PYTHON) -c \
+	      "import json, sys; sys.exit(json.loads(sys.stdin.read()).get('correct') is not True)" \
+	    || { cat $$out; echo "perf-check: $$w did not report \"correct\": true"; exit 1; }; \
+	done
+	@echo "make perf-check: OK ($(PERF_CHECK_WORKLOADS) match perfbench/reference.json)"
+
 ## full benchmark suite regenerating the paper's evaluation (minutes)
 bench:
 	$(PYTHON) -m pytest -q benchmarks/
@@ -114,7 +133,7 @@ protocol-coverage:
 	$(PYTHON) -m repro.experiments protocols --check-coverage
 
 ## everything a PR must keep green
-check: test bench-smoke adaptive-smoke queue-smoke net-smoke store-smoke phy-smoke docs-check protocol-coverage
+check: test bench-smoke adaptive-smoke queue-smoke net-smoke store-smoke phy-smoke perf-check docs-check protocol-coverage
 
 ## reproduce the CI pipeline (.github/workflows/ci.yml) locally:
 ## tier-1 tests, docs consistency (links included), the smoke sweep
@@ -127,8 +146,10 @@ check: test bench-smoke adaptive-smoke queue-smoke net-smoke store-smoke phy-smo
 ## tcp-executor churn drill (a --connect worker SIGKILLed mid-sweep,
 ## byte-identical artifacts anyway), the result-store smoke (sqlite vs
 ## json byte-equality + migrate), the physical-layer smoke (3x3
-## radio/MAC grid, warm zero-exec replay, golden fingerprints), and a
-## perf-trend append judged against the trailing window
+## radio/MAC grid, warm zero-exec replay, golden fingerprints), the
+## benchmark's correctness check (every perfbench workload reproduces
+## its reference), and a perf-trend append judged against the trailing
+## window
 CI_DIR := .ci
 ci: test docs-check protocol-coverage
 	rm -rf $(CI_DIR)
@@ -161,7 +182,8 @@ ci: test docs-check protocol-coverage
 	$(MAKE) net-smoke
 	$(MAKE) store-smoke
 	$(MAKE) phy-smoke
+	$(MAKE) perf-check
 	$(PYTHON) -m repro.experiments perf smoke \
 	  --current $(CI_DIR)/artifacts/smoke.json \
 	  --trend $(CI_DIR)/trend.jsonl --tolerance 10
-	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, perf, adaptive, queue, net, store, phy, trend)"
+	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, perf, adaptive, queue, net, store, phy, perf-check, trend)"

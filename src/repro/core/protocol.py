@@ -436,7 +436,7 @@ class HVDBProtocolAgent(ProtocolAgent):
         table = self._ensure_route_table()
         # measure the logical-link QoS from the beacon itself
         delay = max(1e-4, self.now - float(payload["sent_at"]))
-        contenders = max(1, len(self.network.neighbors_of(self.node_id)))
+        contenders = max(1, len(self.network.neighbor_positions(self.node_id)))
         bandwidth = self.network.config.mac.bandwidth_bps / contenders \
             if hasattr(self.network.config.mac, "bandwidth_bps") else 1e6
         neighbor_hnid = int(payload["hnid"])
@@ -689,9 +689,9 @@ class HVDBProtocolAgent(ProtocolAgent):
         broadcast_copy.headers["stage"] = "local"
         self.node.broadcast(broadcast_copy)
         # … and members currently out of range get a directed copy
-        neighbor_ids = set(self.network.neighbors_of(self.node_id))
+        neighbors = self.network.neighbor_positions(self.node_id)
         for member in local_members:
-            if member in neighbor_ids:
+            if member in neighbors:
                 continue
             copy = packet.copy_for_forwarding()
             copy.headers["stage"] = "local-unicast"

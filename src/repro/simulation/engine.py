@@ -1,32 +1,32 @@
 """Discrete-event simulation engine.
 
-A minimal but complete event-driven kernel: events are (time, priority,
-sequence, callback) tuples kept in a binary heap; the simulator pops them
-in time order and advances a virtual clock.  Periodic timers are provided
-as a convenience for protocol beaconing and mobility epochs.
+A minimal but complete event-driven kernel: the heap holds
+``(time, priority, sequence, event)`` tuples and the simulator pops them in
+that order and advances a virtual clock.  The sequence number is unique,
+so tuple comparison never reaches the :class:`Event`.  Periodic timers are
+provided as a convenience for protocol beaconing and mobility epochs.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 
-@dataclass(order=True)
 class Event:
-    """One scheduled event.
+    """Handle of one scheduled event, returned so the caller can cancel it.
 
-    Ordering is by ``(time, priority, sequence)`` so simultaneous events
-    run in a deterministic order (lower priority value first, then FIFO).
+    Simultaneous events run in a deterministic order (lower priority value
+    first, then FIFO); that order is kept by the heap entry, not here.
     """
 
-    time: float
-    priority: int
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "callback", "cancelled")
+
+    def __init__(self, time: float, callback: Callable[[], None]) -> None:
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the event from firing (it stays in the heap but is skipped)."""
@@ -37,7 +37,7 @@ class Simulator:
     """Event-driven simulation kernel with a floating-point clock (seconds)."""
 
     def __init__(self) -> None:
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._sequence = itertools.count()
         self._now = 0.0
         self._running = False
@@ -66,8 +66,9 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError("cannot schedule events in the past")
-        event = Event(self._now + delay, priority, next(self._sequence), callback)
-        heapq.heappush(self._heap, event)
+        time = self._now + delay
+        event = Event(time, callback)
+        heapq.heappush(self._heap, (time, priority, next(self._sequence), event))
         return event
 
     def schedule_at(
@@ -76,8 +77,8 @@ class Simulator:
         """Schedule ``callback`` at an absolute simulation time."""
         if time < self._now:
             raise ValueError(f"cannot schedule at {time} < now ({self._now})")
-        event = Event(time, priority, next(self._sequence), callback)
-        heapq.heappush(self._heap, event)
+        event = Event(time, callback)
+        heapq.heappush(self._heap, (time, priority, next(self._sequence), event))
         return event
 
     def run_until(self, end_time: float) -> None:
@@ -88,11 +89,12 @@ class Simulator:
         """
         if end_time < self._now:
             raise ValueError(f"end_time {end_time} is in the past (now={self._now})")
+        heap = self._heap
         self._running = True
-        while self._heap and self._running:
-            if self._heap[0].time > end_time:
+        while heap and self._running:
+            if heap[0][0] > end_time:
                 break
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(heap)[3]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -118,7 +120,7 @@ class Simulator:
         while self._heap:
             if max_events is not None and executed >= max_events:
                 break
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             self._now = max(self._now, event.time)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.geo.area import Area
 from repro.geo.geometry import Point, Vector
@@ -27,6 +28,9 @@ from repro.simulation.radio import RadioModel
 #: registered names resolved when a NetworkConfig omits radio/mac
 DEFAULT_RADIO = "unit_disk"
 DEFAULT_MAC = "csma"
+
+#: neighbour mapping of a node that is dead or unknown
+_NO_NEIGHBORS: Mapping[int, Point] = MappingProxyType({})
 
 
 @dataclass
@@ -113,7 +117,7 @@ class Network:
         self.nodes: Dict[int, MobileNode] = {}
         self.stats = NetworkStats()
         self.deliveries: Dict[int, DeliveryRecord] = {}
-        self._neighbor_cache: Optional[Dict[int, List[int]]] = None
+        self._neighbor_cache: Optional[Dict[int, Mapping[int, Point]]] = None
         self._mobility_timer: Optional[PeriodicTimer] = None
         self._started = False
 
@@ -154,17 +158,25 @@ class Network:
         return self.mobility.velocity(node_id)
 
     def neighbors_of(self, node_id: int) -> List[int]:
-        """Alive nodes currently within radio range of ``node_id``."""
-        cache = self._neighbor_table()
-        return list(cache.get(node_id, []))
+        """Alive nodes currently within radio range of ``node_id``, as a fresh list."""
+        return list(self.neighbor_positions(node_id))
+
+    def neighbor_positions(self, node_id: int) -> Mapping[int, Point]:
+        """``{neighbour: position}`` of ``node_id``, in :meth:`neighbors_of` order.
+
+        The mapping is shared and read-only: it is built once per mobility
+        tick (and after :meth:`fail_nodes` / :meth:`recover_nodes`) and
+        handed to every caller until then.
+        """
+        return self._neighbor_table().get(node_id, _NO_NEIGHBORS)
 
     def are_neighbors(self, a: int, b: int) -> bool:
-        return b in self._neighbor_table().get(a, [])
+        return b in self.neighbor_positions(a)
 
     def _invalidate_neighbors(self) -> None:
         self._neighbor_cache = None
 
-    def _neighbor_table(self) -> Dict[int, List[int]]:
+    def _neighbor_table(self) -> Dict[int, Mapping[int, Point]]:
         if self._neighbor_cache is not None:
             return self._neighbor_cache
         radio = self.config.radio
@@ -176,13 +188,13 @@ class Network:
             pos = self.mobility.position(node_id)
             positions[node_id] = pos
             index.insert(node_id, pos)
-        table: Dict[int, List[int]] = {}
+        table: Dict[int, Mapping[int, Point]] = {}
         for node_id, pos in positions.items():
-            table[node_id] = [
-                other
+            table[node_id] = MappingProxyType({
+                other: positions[other]
                 for other in index.candidates(pos)
                 if other != node_id and radio.in_range(pos, positions[other])
-            ]
+            })
         self._neighbor_cache = table
         return table
 
@@ -272,12 +284,11 @@ class Network:
             self.stats.drops_ttl += 1
             return
         sender_pos = self.mobility.position(sender)
-        neighbor_ids = self.neighbors_of(sender)
-        contenders = len(neighbor_ids)
+        neighbors = self.neighbor_positions(sender)
         now = self.simulator.now
         radio = self.config.radio
         plan = self.config.mac.plan_transmission(
-            sender, now, packet.size_bytes, contenders, self.rng
+            sender, now, packet.size_bytes, len(neighbors), self.rng
         )
         if not plan.proceed:
             self.stats.drops_duty_cycle += 1
@@ -288,21 +299,21 @@ class Network:
         delay = plan.delay
         mac_loss = plan.loss_probability
 
-        if destination is not None:
-            targets = [destination] if destination in neighbor_ids else []
-            if not targets:
-                self.stats.drops_out_of_range += 1
+        if destination is None:
+            targets = neighbors.items()
+        elif destination in neighbors:
+            targets = ((destination, neighbors[destination]),)
         else:
-            targets = neighbor_ids
+            targets = ()
+            self.stats.drops_out_of_range += 1
 
         # Unicast frames benefit from link-layer ARQ (802.11-style retries);
         # broadcast frames are fire-and-forget.
         attempts = 1 + (self.config.unicast_retries if destination is not None else 0)
-        for target in targets:
+        for target, target_pos in targets:
             receiver = self.nodes.get(target)
             if receiver is None or not receiver.alive:
                 continue
-            target_pos = self.mobility.position(target)
             total_delay = delay
             received = False
             for attempt in range(attempts):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 _packet_ids = itertools.count(1)
@@ -24,7 +24,7 @@ class PacketKind(enum.Enum):
     MANAGEMENT = "management"  #: clustering / neighbour discovery
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A simulated packet.
 
@@ -54,9 +54,26 @@ class Packet:
         The uid, creation time and hop counters are preserved; the headers
         dictionary is shallow-copied so a forwarder can rewrite its own
         entries (e.g. re-encapsulate a multicast sub-tree) without
-        affecting sibling copies.
+        affecting sibling copies.  Header *values* stay shared: a forwarder
+        installs a new value rather than mutating the one it received.
         """
-        return replace(self, headers=dict(self.headers))
+        # field by field, around the generated __init__: its default-factory
+        # checks cost more than the copy itself on this per-reception path
+        copy = object.__new__(Packet)
+        copy.kind = self.kind
+        copy.protocol = self.protocol
+        copy.msg_type = self.msg_type
+        copy.source = self.source
+        copy.group = self.group
+        copy.destination = self.destination
+        copy.payload = self.payload
+        copy.headers = dict(self.headers)
+        copy.size_bytes = self.size_bytes
+        copy.created_at = self.created_at
+        copy.uid = self.uid
+        copy.hops = self.hops
+        copy.logical_hops = self.logical_hops
+        return copy
 
     def age(self, now: float) -> float:
         """Seconds since the packet was created."""

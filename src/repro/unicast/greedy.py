@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+import math
+from typing import Collection, Mapping, Optional, Sequence
 
 from repro.geo.geometry import Point, distance
 
@@ -10,8 +11,8 @@ from repro.geo.geometry import Point, distance
 def greedy_next_hop(
     current: Point,
     destination: Point,
-    neighbors: Dict[int, Point],
-    exclude: Optional[Set[int]] = None,
+    neighbors: Mapping[int, Point],
+    exclude: Optional[Collection[int]] = None,
 ) -> Optional[int]:
     """Neighbour that makes the most progress towards ``destination``.
 
@@ -20,14 +21,19 @@ def greedy_next_hop(
     greedy forwarding is known for), in which case the caller should switch
     to recovery mode.
     """
-    exclude = exclude or set()
-    own_distance = distance(current, destination)
+    # math.hypot inline on the operands geometry.distance uses: this runs
+    # once per neighbour per tunnel hop, and the 1e-12 margin below is only
+    # meaningful on these exact distances
+    exclude = exclude or ()
+    hypot = math.hypot
+    dest_x = destination.x
+    dest_y = destination.y
     best_id: Optional[int] = None
-    best_distance = own_distance
+    best_distance = hypot(current.x - dest_x, current.y - dest_y)
     for node_id, position in neighbors.items():
         if node_id in exclude:
             continue
-        d = distance(position, destination)
+        d = hypot(position.x - dest_x, position.y - dest_y)
         if d < best_distance - 1e-12:
             best_distance = d
             best_id = node_id
@@ -37,8 +43,8 @@ def greedy_next_hop(
 def recovery_next_hop(
     current: Point,
     destination: Point,
-    neighbors: Dict[int, Point],
-    visited: Set[int],
+    neighbors: Mapping[int, Point],
+    visited: Collection[int],
 ) -> Optional[int]:
     """Recovery forwarding when greedy progress is impossible.
 
@@ -48,12 +54,15 @@ def recovery_next_hop(
     walks the packet around voids and provably terminates (every hop
     consumes one unvisited node).
     """
+    hypot = math.hypot
+    dest_x = destination.x
+    dest_y = destination.y
     best_id: Optional[int] = None
     best_distance = float("inf")
     for node_id, position in neighbors.items():
         if node_id in visited:
             continue
-        d = distance(position, destination)
+        d = hypot(position.x - dest_x, position.y - dest_y)
         if d < best_distance:
             best_distance = d
             best_id = node_id

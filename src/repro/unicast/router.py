@@ -13,11 +13,9 @@ multi-hop physical links", paper Section 3).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.geo.geometry import Point
 from repro.simulation.agent import ProtocolAgent
 from repro.simulation.packet import Packet
+from repro.unicast import greedy
 
 #: Protocol identifier of the geographic unicast agent.
 GEO_PROTOCOL = "geo-unicast"
@@ -58,7 +56,7 @@ class GeoUnicastAgent(ProtocolAgent):
             payload=inner,
             headers={
                 "dest_node": dest_node,
-                "visited": [self.node_id],
+                "visited": (self.node_id,),
                 "mode": "greedy",
             },
             size_bytes=inner.size_bytes + _ENVELOPE_OVERHEAD,
@@ -83,9 +81,10 @@ class GeoUnicastAgent(ProtocolAgent):
             self.delivered += 1
             self.node.deliver(inner, from_node)
             return
-        visited = packet.headers.setdefault("visited", [])
+        # a new tuple per hop: copies of one envelope share header values
+        visited = packet.headers.get("visited", ())
         if self.node_id not in visited:
-            visited.append(self.node_id)
+            visited = packet.headers["visited"] = visited + (self.node_id,)
         if len(visited) > self.max_visited:
             self.dropped_no_route += 1
             return
@@ -94,25 +93,21 @@ class GeoUnicastAgent(ProtocolAgent):
 
     def _forward(self, envelope: Packet) -> None:
         dest = envelope.headers["dest_node"]
-        if dest not in self.network.nodes or not self.network.node(dest).alive:
+        network = self.network
+        if dest not in network.nodes or not network.node(dest).alive:
             self.dropped_no_route += 1
             return
-        dest_pos = self.network.position_of(dest)
-        my_pos = self.network.position_of(self.node_id)
-        neighbor_ids = self.network.neighbors_of(self.node_id)
-        if dest in neighbor_ids:
+        neighbors = network.neighbor_positions(self.node_id)
+        if dest in neighbors:
             self.node.unicast(dest, envelope)
             return
-        neighbors: Dict[int, Point] = {
-            nb: self.network.position_of(nb) for nb in neighbor_ids
-        }
-        visited = set(envelope.headers.get("visited", []))
-        from repro.unicast.greedy import greedy_next_hop, recovery_next_hop
-
-        next_hop = greedy_next_hop(my_pos, dest_pos, neighbors, exclude=visited)
+        dest_pos = network.position_of(dest)
+        my_pos = network.position_of(self.node_id)
+        visited = envelope.headers["visited"]
+        next_hop = greedy.greedy_next_hop(my_pos, dest_pos, neighbors, exclude=visited)
         if next_hop is None:
             envelope.headers["mode"] = "recovery"
-            next_hop = recovery_next_hop(my_pos, dest_pos, neighbors, visited)
+            next_hop = greedy.recovery_next_hop(my_pos, dest_pos, neighbors, visited)
         else:
             envelope.headers["mode"] = "greedy"
         if next_hop is None:

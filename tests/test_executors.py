@@ -66,6 +66,10 @@ def run_with_queue(spec, queue_dir, n_workers=2, **sweep_kwargs):
     hermetic stand-in for `python -m repro.experiments worker` processes);
     they exit once the driver closes the queue.
     """
+    # a queue dir reused from an earlier sweep still holds its closed
+    # sentinel: a worker that scans before the driver's own reopen() would
+    # exit at once and leave a workers=0 sweep waiting forever
+    WorkQueue(queue_dir).reopen()
     threads = [
         threading.Thread(
             target=run_worker,

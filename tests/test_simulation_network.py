@@ -255,3 +255,48 @@ class TestMobilityIntegration:
         assert before != after
         # the location service follows the mobility updates
         assert net.node(0).location_service.last_known().position == after
+
+    def test_neighbor_positions_follow_ticks_and_failures(self):
+        area = Area(600.0, 600.0)
+        ids = list(range(30))
+        mobility = RandomWaypointMobility(area, ids, min_speed=5.0, max_speed=30.0, seed=4)
+        radio = UnitDiskRadio(150.0)
+        net = Network(
+            NetworkConfig(area=area, radio=radio, mac=IdealMac(), mobility_step=1.0),
+            mobility,
+        )
+        net.add_nodes(MobileNode(i) for i in ids)
+        net.start()
+
+        def check():
+            alive = [i for i in ids if net.node(i).alive]
+            for node_id in ids:
+                listed = net.neighbors_of(node_id)
+                mapping = net.neighbor_positions(node_id)
+                assert list(mapping) == listed
+                assert all(mapping[nb] == net.position_of(nb) for nb in listed)
+                expected = {
+                    other
+                    for other in alive
+                    if node_id in alive
+                    and other != node_id
+                    and radio.in_range(net.position_of(node_id), net.position_of(other))
+                }
+                assert set(listed) == expected
+                # the list is the caller's own; the mapping is shared, read-only
+                listed.append(-1)
+                assert -1 not in net.neighbors_of(node_id)
+                with pytest.raises(TypeError):
+                    mapping[-1] = Point(0.0, 0.0)
+
+        for _ in range(4):
+            net.simulator.run(1.0)
+            check()
+        net.fail_nodes([0, 5, 7])
+        check()
+        assert all(5 not in net.neighbor_positions(i) for i in ids)
+        net.simulator.run(2.0)
+        check()
+        net.recover_nodes([5])
+        check()
+        assert any(5 in net.neighbor_positions(i) for i in ids)

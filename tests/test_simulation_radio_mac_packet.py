@@ -1,5 +1,7 @@
 """Unit tests for packets, radio models and the MAC abstraction."""
 
+import dataclasses
+
 import pytest
 
 from repro.geo.geometry import Point
@@ -20,6 +22,29 @@ class TestPacket:
         assert copy.uid == packet.uid
         copy.headers["stage"] = "b"
         assert packet.headers["stage"] == "a"
+
+    def test_copy_carries_every_field(self):
+        # every value differs from its field's default, so a copy that
+        # skips a field (or falls back to the default) is caught
+        packet = Packet(
+            kind=PacketKind.CONTROL,
+            protocol="p",
+            msg_type="beacon",
+            source=3,
+            group=4,
+            destination=5,
+            payload=("x",),
+            headers={"stage": "a", "visited": (3,)},
+            size_bytes=77,
+            created_at=1.5,
+            uid=987654,
+            hops=6,
+            logical_hops=7,
+        )
+        copy = packet.copy_for_forwarding()
+        for f in dataclasses.fields(Packet):
+            assert getattr(copy, f.name) == getattr(packet, f.name), f.name
+        assert copy.headers is not packet.headers
 
     def test_age(self):
         packet = data_packet("p", 1, 1, None, 100, now=5.0)

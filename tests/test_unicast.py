@@ -1,8 +1,10 @@
 """Unit tests for greedy geographic unicast routing."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.geo.geometry import Point
+from repro.geo.geometry import Point, distance
 from repro.simulation.agent import ProtocolAgent
 from repro.simulation.packet import Packet, PacketKind, data_packet
 from repro.unicast.greedy import greedy_next_hop, path_stretch, recovery_next_hop
@@ -49,6 +51,97 @@ class TestGreedySelection:
         detour = [Point(0.0, 0.0), Point(50.0, 50.0), Point(100.0, 0.0)]
         assert path_stretch(detour) > 1.0
         assert path_stretch([Point(0.0, 0.0)]) == 1.0
+
+
+def reference_greedy_next_hop(current, destination, neighbors, exclude=None):
+    """Greedy selection as a plain loop over ``geometry.distance``."""
+    exclude = exclude or set()
+    best_id = None
+    best_distance = distance(current, destination)
+    for node_id, position in neighbors.items():
+        if node_id in exclude:
+            continue
+        d = distance(position, destination)
+        if d < best_distance - 1e-12:
+            best_distance = d
+            best_id = node_id
+    return best_id
+
+
+def reference_recovery_next_hop(current, destination, neighbors, visited):
+    """Recovery selection as a plain loop over ``geometry.distance``."""
+    best_id = None
+    best_distance = float("inf")
+    for node_id, position in neighbors.items():
+        if node_id in visited:
+            continue
+        d = distance(position, destination)
+        if d < best_distance:
+            best_distance = d
+            best_id = node_id
+    return best_id
+
+
+# a coarse integer lattice gives duplicate positions and exact distance
+# ties (3-4-5 triangles); free floats cover the general case
+_lattice = st.integers(min_value=-5, max_value=5).map(float)
+_coords = st.one_of(_lattice, st.floats(min_value=-1000.0, max_value=1000.0, allow_nan=False))
+_points = st.builds(Point, _coords, _coords)
+# offsets around the 1e-12 progress margin, where squared distances or
+# other rounding would pick differently
+_nudges = st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -5e-13, 2e-12, -2e-12])
+
+
+@st.composite
+def _layouts(draw):
+    """(current, destination, neighbours); some neighbours sit a nudge
+    away from the current node, about as far from the destination as it."""
+    current = draw(_points)
+    destination = draw(_points)
+    near_current = st.builds(
+        lambda dx, dy: Point(current.x + dx, current.y + dy), _nudges, _nudges
+    )
+    neighbors = draw(st.dictionaries(
+        st.integers(min_value=0, max_value=20),
+        st.one_of(_points, near_current),
+        max_size=12,
+    ))
+    return current, destination, neighbors
+
+
+class TestNextHopMatchesReference:
+    @given(
+        layout=_layouts(),
+        excluded=st.sets(st.integers(min_value=0, max_value=20), max_size=6),
+        container=st.sampled_from([list, tuple, set]),
+    )
+    # duplicate positions; exact ties at distance 5; neighbours exactly as
+    # far from the destination as the current node; one closer by less
+    # than the margin
+    @example((Point(1.0, 1.0), Point(0.0, 0.0), {1: Point(2.0, 2.0), 2: Point(2.0, 2.0)}), set(), list)
+    @example(
+        (
+            Point(5.0, 5.0),
+            Point(0.0, 0.0),
+            {4: Point(3.0, 4.0), 2: Point(4.0, 3.0), 9: Point(0.0, 5.0), 1: Point(-5.0, 0.0)},
+        ),
+        {9},
+        tuple,
+    )
+    @example((Point(3.0, 4.0), Point(0.0, 0.0), {7: Point(4.0, 3.0), 8: Point(5.0, 0.0)}), set(), set)
+    @example((Point(3.0, 4.0), Point(0.0, 0.0), {3: Point(3.0, 4.0 - 5e-13)}), set(), list)
+    def test_picks_match_reference(self, layout, excluded, container):
+        current, destination, neighbors = layout
+        exclude = container(sorted(excluded))
+        assert greedy_next_hop(current, destination, neighbors) == (
+            reference_greedy_next_hop(current, destination, neighbors)
+        )
+        assert greedy_next_hop(current, destination, neighbors, exclude=exclude) == (
+            reference_greedy_next_hop(current, destination, neighbors, excluded)
+        )
+        assert recovery_next_hop(current, destination, neighbors, exclude) == (
+            reference_recovery_next_hop(current, destination, neighbors, excluded)
+        )
 
 
 class SinkAgent(ProtocolAgent):
@@ -154,6 +247,23 @@ class TestGeoUnicastAgent:
         assert geo3.delivered == 1
         middle = net.node(1).agent(GEO_PROTOCOL)
         assert middle.forwarded >= 1
+
+    def test_forwarding_one_copy_leaves_other_copies_visited_alone(self):
+        positions = {i: Point(100.0 * i + 10.0, 500.0) for i in range(3)}
+        net, sinks = build_geo_network(positions)
+        geo0 = net.node(0).agent(GEO_PROTOCOL)
+        envelopes = []
+        geo0._forward = envelopes.append
+        geo0.send(inner_packet(0), dest_node=2)
+        (envelope,) = envelopes
+        forwarded = envelope.copy_for_forwarding()
+        sibling = envelope.copy_for_forwarding()
+        net.node(1).agent(GEO_PROTOCOL).on_packet(forwarded, 0)
+        assert list(forwarded.headers["visited"]) == [0, 1]
+        assert list(envelope.headers["visited"]) == [0]
+        assert list(sibling.headers["visited"]) == [0]
+        net.simulator.run(2.0)
+        assert len(sinks[2].received) == 1
 
     def test_envelope_size_includes_overhead(self):
         positions = {0: Point(10.0, 500.0), 1: Point(110.0, 500.0)}
