@@ -5,7 +5,7 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test bench-smoke adaptive-smoke queue-smoke net-smoke store-smoke phy-smoke perf-check bench docs-check docs-links sweeps protocols protocol-coverage check ci
+.PHONY: test bench-smoke adaptive-smoke net-smoke store-smoke phy-smoke perf-check bench docs-check docs-links sweeps protocols protocol-coverage check ci
 
 ## tier-1 test suite (fast, deterministic) -- must stay green
 test:
@@ -21,22 +21,6 @@ bench-smoke:
 ## zero-executions-on-warm-cache invariant, under pytest
 adaptive-smoke:
 	$(PYTHON) -m pytest -q benchmarks/bench_s1_adaptive_smoke.py
-
-## seconds-long end-to-end check of the queue executor: the smoke grid
-## drained by two work-stealing worker processes (file leases over a
-## shared queue directory) must produce a CSV artifact byte-identical
-## to a process-executor run, with the queue fully drained
-QUEUE_SMOKE_DIR := .ci/queue-smoke
-queue-smoke:
-	rm -rf $(QUEUE_SMOKE_DIR)
-	$(PYTHON) -m repro.experiments run smoke --executor process \
-	  --cache-dir $(QUEUE_SMOKE_DIR)/ref-cache --out $(QUEUE_SMOKE_DIR)/ref
-	$(PYTHON) -m repro.experiments run smoke --executor queue --workers 2 \
-	  --queue-dir $(QUEUE_SMOKE_DIR)/queue \
-	  --cache-dir $(QUEUE_SMOKE_DIR)/queue-cache --out $(QUEUE_SMOKE_DIR)/out
-	cmp $(QUEUE_SMOKE_DIR)/ref/smoke.csv $(QUEUE_SMOKE_DIR)/out/smoke.csv
-	test -z "$$(ls $(QUEUE_SMOKE_DIR)/queue/tasks)"
-	@echo "make queue-smoke: OK (two queue workers, byte-identical artifacts, queue drained)"
 
 ## seconds-long churn drill for the tcp executor: the smoke grid
 ## drained over TCP by two externally attached --connect workers, one
@@ -133,7 +117,7 @@ protocol-coverage:
 	$(PYTHON) -m repro.experiments protocols --check-coverage
 
 ## everything a PR must keep green
-check: test bench-smoke adaptive-smoke queue-smoke net-smoke store-smoke phy-smoke perf-check docs-check protocol-coverage
+check: test bench-smoke adaptive-smoke net-smoke store-smoke phy-smoke perf-check docs-check protocol-coverage
 
 ## reproduce the CI pipeline (.github/workflows/ci.yml) locally:
 ## tier-1 tests, docs consistency (links included), the smoke sweep
@@ -141,9 +125,8 @@ check: test bench-smoke adaptive-smoke queue-smoke net-smoke store-smoke phy-smo
 ## reassemble the full grid, a wall-time diff against the committed
 ## baseline (loose tolerance across machines) plus a strict gate on a
 ## synthetic 2x regression, the adaptive smoke sweep (run + a
-## warm-cache re-run that must execute zero runs), the queue-executor
-## smoke (two work-stealing workers, byte-identical artifacts), the
-## tcp-executor churn drill (a --connect worker SIGKILLed mid-sweep,
+## warm-cache re-run that must execute zero runs), the tcp-executor
+## churn drill (a --connect worker SIGKILLed mid-sweep,
 ## byte-identical artifacts anyway), the result-store smoke (sqlite vs
 ## json byte-equality + migrate), the physical-layer smoke (3x3
 ## radio/MAC grid, warm zero-exec replay, golden fingerprints), the
@@ -178,7 +161,6 @@ ci: test docs-check protocol-coverage
 	  --cache-dir $(CI_DIR)/adaptive --format none \
 	  | grep -q "; 0 executed +" \
 	  || { echo "adaptive gate: warm-cache re-run executed runs (expected 0)"; exit 1; }
-	$(MAKE) queue-smoke
 	$(MAKE) net-smoke
 	$(MAKE) store-smoke
 	$(MAKE) phy-smoke
@@ -186,4 +168,4 @@ ci: test docs-check protocol-coverage
 	$(PYTHON) -m repro.experiments perf smoke \
 	  --current $(CI_DIR)/artifacts/smoke.json \
 	  --trend $(CI_DIR)/trend.jsonl --tolerance 10
-	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, perf, adaptive, queue, net, store, phy, perf-check, trend)"
+	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, perf, adaptive, net, store, phy, perf-check, trend)"

@@ -5,12 +5,12 @@ runs for the duration of a sweep: it listens on ``host:port``, performs
 the :mod:`~repro.experiments.net.protocol` handshake with each connecting
 worker, leases pending :class:`~repro.experiments.orchestrator.RunSpec`\\ s
 to them, and collects streamed results/errors.  Lease liveness follows
-the shared state machine of :mod:`repro.experiments.leases` with the same
-``stale_after`` default as the file queue, judged **entirely on the
-coordinator's monotonic clock**: every frame received from a worker --
-heartbeat or otherwise -- refreshes that worker's leases at the moment of
-arrival, and worker-side timestamps are never consulted, so machines with
-disagreeing clocks cannot break leases (or keep dead ones alive).
+the state machine of :mod:`repro.experiments.leases`, judged **entirely
+on the coordinator's monotonic clock**: every frame received from a
+worker -- heartbeat or otherwise -- refreshes that worker's leases at the
+moment of arrival, and worker-side timestamps are never consulted, so
+machines with disagreeing clocks cannot break leases (or keep dead ones
+alive).
 
 Churn tolerance:
 
@@ -28,10 +28,10 @@ Churn tolerance:
 :class:`TcpExecutor` (registered as ``tcp``) wraps the coordinator in the
 :class:`~repro.experiments.executors.Executor` contract: like every
 backend it is sweep-cosmetic (excluded from cache keys; artifacts stay
-byte-identical to serial/process/thread/queue), results land in the
-*driver's* result store via the orchestrator's ``record`` callback (the
-store spec never crosses the wire), and a warm-cache sweep never even
-binds the listening socket.
+byte-identical to serial/process), results land in the *driver's*
+result store via the orchestrator's ``record`` callback (the store spec
+never crosses the wire), and a warm-cache sweep never even binds the
+listening socket.
 """
 
 from __future__ import annotations
@@ -363,7 +363,7 @@ class Coordinator:
 
 @register_executor("tcp")
 class TcpExecutor(Executor):
-    """Networked coordinator/worker execution over TCP (no shared mount).
+    """Networked coordinator/worker execution over TCP (multi-machine).
 
     The driver listens on ``host:port`` (``--host``/``--port``); workers
     on any reachable machine attach with ``python -m repro.experiments
@@ -374,7 +374,7 @@ class TcpExecutor(Executor):
     external ones).  Results stream back over the socket and are
     recorded into the driver's result store; workers never see the store
     spec.  Like every backend the choice is sweep-cosmetic: artifacts
-    are byte-identical to serial/process/thread/queue, and a warm cache
+    are byte-identical to serial/process, and a warm cache
     replays with zero executions (the coordinator never even binds).
     """
 
@@ -438,11 +438,8 @@ class TcpExecutor(Executor):
         for _ in range(workers):
             self._procs.append(subprocess.Popen(command, env=env))
 
-    def map_runs(self, pending, execute, record, fail, *, workers, label, progress,
-                 fresh=False):
-        # fresh needs no special handling: unlike the queue, tcp has no
-        # backend-local result store to discard from
-        del execute, fresh
+    def map_runs(self, pending, execute, record, fail, *, workers, label, progress):
+        del execute  # workers run leased runs with their own execute_run
         self.coordinator.start()
         by_task: Dict[str, List[tuple]] = {}
         for key, run in pending:

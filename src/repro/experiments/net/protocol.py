@@ -180,6 +180,13 @@ class FrameConnection:
         return recv_frame(self._reader, max_payload=self.max_payload)
 
     def close(self) -> None:
+        # shut the socket down first: a reader blocked in recv() holds the
+        # buffered reader's lock, so closing the reader alone would wait
+        # for a frame that a silent peer may never send
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._reader.close()
         except OSError:

@@ -13,17 +13,16 @@ is the engine that executes such grids:
   deterministic per-run RNG seeding).
 * :func:`run_sweep` -- execute the runs through a registered *executor
   backend* (:mod:`repro.experiments.executors`: in-process ``serial``, a
-  ``process`` pool -- the default -- a ``thread`` pool, or a ``queue``
-  of file-leased runs drained by any number of worker processes or
-  machines), with an on-disk result cache keyed by a content hash of
-  (config, duration, seed, code version) so re-running a sweep only
-  executes what changed.  The cache itself lives behind a registered
-  *store* backend (:mod:`repro.experiments.stores`: a ``json`` file
-  directory -- the default -- a single-file columnar ``sqlite`` table,
-  or ``parquet`` where pyarrow is installed).  Both backends are
-  sweep-cosmetic: neither the executor nor the store enters the cache
-  key, so every combination produces the same cache entries and
-  byte-identical artifacts.
+  ``process`` pool -- the default -- or the networked ``tcp``
+  coordinator whose workers run on any reachable machine), with an
+  on-disk result cache keyed by a content hash of (config, duration,
+  seed, code version) so re-running a sweep only executes what changed.
+  The cache itself lives behind a registered *store* backend
+  (:mod:`repro.experiments.stores`: a ``json`` file directory -- the
+  default -- or a single-file columnar ``sqlite`` table).  Both
+  backends are sweep-cosmetic: neither the executor nor the store
+  enters the cache key, so every combination produces the same cache
+  entries and byte-identical artifacts.
 * :class:`RunResult` -- the typed record one run produces: the swept
   parameters, the seed, and a flat metrics dictionary.  JSON/CSV export
   via :func:`export_json` / :func:`export_csv`, mean +/- 95% CI
@@ -88,12 +87,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from repro.experiments.executors import Executor, make_executor
 from repro.experiments.scenarios import PHY_SECTIONS, ScenarioConfig, config_axis_names
-from repro.experiments.stores import (
-    JsonStore,
-    ResultStore,
-    make_store,
-    store_exists,
-)
+from repro.experiments.stores import ResultStore, make_store, store_exists
 from repro.registry import (
     MACS,
     MOBILITY_MODELS,
@@ -932,17 +926,6 @@ class RunResult:
         return cls(**{k: v for k, v in data.items() if k in known})
 
 
-class ResultCache(JsonStore):
-    """Back-compat alias: the ``json`` result-store backend.
-
-    Earlier releases hardwired result persistence to this class.  It is
-    now a thin subclass of :class:`repro.experiments.stores.JsonStore`
-    with identical layout and behaviour, so existing callers (and
-    existing cache directories) keep working unchanged while new code
-    picks backends through :data:`repro.experiments.stores.STORES`.
-    """
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
@@ -993,10 +976,9 @@ def _log(progress: bool, message: str) -> None:
 def _log_churn(backend: Optional[Executor], label: str, progress: bool) -> None:
     """Surface a work-stealing backend's robustness counters, if any.
 
-    In-process backends report None and stay silent; queue/tcp sweeps
-    that survived worker churn say so in one summary line (leases
-    reclaimed, runs re-executed, workers seen/lost) instead of hiding
-    the reclaim in queue-directory forensics.
+    In-process backends report None and stay silent; tcp sweeps that
+    survived worker churn say so in one summary line (leases reclaimed,
+    runs re-executed, workers seen/lost).
     """
     stats = backend.stats() if backend is not None else None
     if stats:
@@ -1010,7 +992,6 @@ def _execute_pending(
     label: str,
     progress: bool,
     executor: Optional[Executor] = None,
-    fresh: bool = False,
 ) -> List[tuple]:
     """Execute ``(key, RunSpec)`` pairs, calling ``record`` per result.
 
@@ -1041,7 +1022,6 @@ def _execute_pending(
                 workers=workers,
                 label=label,
                 progress=progress,
-                fresh=fresh,
             )
     finally:
         if owned:
@@ -1067,12 +1047,12 @@ def run_sweep(
     ``spec.executor``; default ``process``), resolved eagerly -- an
     unknown name raises :class:`~repro.registry.RegistryError` listing
     the alternatives before anything executes.  ``executor_options`` are
-    backend keyword arguments (the ``queue`` backend takes ``queue_dir``
+    backend keyword arguments (the ``tcp`` backend takes ``host``/``port``
     etc.).  ``workers`` is the backend's parallelism: pool size for
-    ``process``/``thread``, locally spawned worker processes for
-    ``queue`` (0 = externally attached workers only), ignored by
-    ``serial``.  The backend never enters cache keys or artifacts, so
-    results are byte-identical across executors.
+    ``process``, locally spawned worker processes for ``tcp`` (0 =
+    externally attached workers only), ignored by ``serial``.  The
+    backend never enters cache keys or artifacts, so results are
+    byte-identical across executors.
 
     With ``cache_dir`` set, completed runs are persisted and later
     invocations only execute cache misses (``force=True`` re-runs
@@ -1141,7 +1121,7 @@ def run_sweep(
             )
 
         failures = _execute_pending(
-            pending, workers, record, label, progress, executor=backend, fresh=force
+            pending, workers, record, label, progress, executor=backend
         )
     finally:
         backend.close()
@@ -1381,7 +1361,7 @@ def _adaptive_sweep(
             )
 
         failures = _execute_pending(
-            pending, workers, record, label, progress, executor=backend, fresh=force
+            pending, workers, record, label, progress, executor=backend
         )
         report.executed += len(pending) - len(failures)
         if failures:
@@ -1493,7 +1473,7 @@ def run_sweep_adaptive(
 
     ``executor``/``executor_options`` choose the execution backend
     exactly as in :func:`run_sweep` (one backend instance serves every
-    adaptive round, so queue workers stay attached across rounds);
+    adaptive round, so tcp workers stay attached across rounds);
     ``store``/``store_options`` choose the result-store backend exactly
     as in :func:`run_sweep`.
 

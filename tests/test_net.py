@@ -107,10 +107,9 @@ def connect_raw(port, worker="raw-worker"):
 def run_with_tcp(spec, n_workers=2, **sweep_kwargs):
     """Drive ``spec`` through the tcp backend with in-thread net workers.
 
-    The tcp analogue of ``run_with_queue``: the backend binds an
-    ephemeral port, plain ``run_net_worker`` loops in background threads
-    stand in for `python -m repro.experiments worker --connect` processes
-    and detach when the coordinator closes.
+    The backend binds an ephemeral port, plain ``run_net_worker`` loops
+    in background threads stand in for `python -m repro.experiments
+    worker --connect` processes and detach when the coordinator closes.
     """
     backend = TcpExecutor(port=0, poll_interval=0.02)
     port = backend.start()
@@ -297,7 +296,7 @@ class TestLeaseStateMachine:
         assert dropped == {"t1", "t2"}
         assert table.owner("t3") == "other"
 
-    def test_is_stale_matches_the_queue_rule(self):
+    def test_is_stale_only_strictly_past_stale_after(self):
         assert not is_stale(DEFAULT_STALE_AFTER, DEFAULT_STALE_AFTER)
         assert is_stale(DEFAULT_STALE_AFTER + 0.001, DEFAULT_STALE_AFTER)
 
@@ -513,6 +512,23 @@ class TestCoordinatorChurn:
         finally:
             coord.close(grace=0.2)
 
+    def test_close_returns_while_a_silent_worker_stays_connected(self):
+        # a hung worker keeps its socket open but never sends again; the
+        # driver's close must still return instead of waiting forever on
+        # the handler thread's blocked read
+        coord = self.make_coordinator()
+        conn, _hello = connect_raw(coord.port, worker="hung")
+        try:
+            closer = threading.Thread(
+                target=coord.close, kwargs={"grace": 0.2}, daemon=True
+            )
+            closer.start()
+            closer.join(timeout=5.0)
+            assert not closer.is_alive(), "close() hung on a silent worker"
+            assert conn.recv() is None  # the coordinator dropped us
+        finally:
+            conn.close()
+
     def test_two_workers_never_double_execute(self):
         coord = self.make_coordinator(stale_after=30.0)
         try:
@@ -565,7 +581,7 @@ class _ChurnyExecutor(Executor):
     name = "churny"
 
     def map_runs(self, pending, execute, record, fail, *, workers, label,
-                 progress, fresh=False):
+                 progress):
         for key, run in pending:
             record(key, execute(run))
 

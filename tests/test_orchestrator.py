@@ -13,7 +13,6 @@ import os
 import pytest
 
 from repro.experiments.orchestrator import (
-    ResultCache,
     RunResult,
     SweepError,
     SweepSpec,
@@ -29,6 +28,7 @@ from repro.experiments.orchestrator import (
     summarize,
 )
 from repro.experiments.scenarios import ScenarioConfig
+from repro.experiments.stores import JsonStore
 
 
 def tiny_spec(**overrides) -> SweepSpec:
@@ -173,7 +173,7 @@ class TestCache:
         assert [r.from_cache for r in results] == [False]
 
     def test_cache_counts_hits_and_misses(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c"))
+        cache = JsonStore(str(tmp_path / "c"))
         run = expand_spec(tiny_spec(seeds=(1,), grid={}))[0]
         key = run.cache_key()
         assert cache.get(key) is None

@@ -6,11 +6,10 @@ unknown store names fail eagerly with alternatives and leave no
 directory behind, each backend round-trips ``RunResult`` records (get /
 put / delete / keys / batch scan), the store choice is sweep-cosmetic
 (byte-identical CSV/JSON artifacts across backends, warm replay with
-zero executions from a cache written under another backend), sqlite
-survives concurrent same-key publishers, corrupt entries are counted
-and re-executed instead of crashing, ``merge_caches`` migrates between
-backends, and the queue executor publishes through the configured
-store.
+zero executions from a cache written under another backend), json and
+sqlite survive concurrent same-key publishers, corrupt entries are
+counted and re-executed instead of crashing, and ``merge_caches``
+migrates between backends.
 """
 
 import json
@@ -20,9 +19,7 @@ import threading
 
 import pytest
 
-from repro.experiments.executors import WorkQueue, make_executor
 from repro.experiments.orchestrator import (
-    ResultCache,
     RunResult,
     SpecError,
     SweepSpec,
@@ -163,12 +160,6 @@ class TestRoundTrip:
         assert len(store.keys()) == 1
         store.close()
 
-    def test_result_cache_alias_is_json_store(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        assert isinstance(cache, JsonStore)
-        cache.put("a" * 64, fake_result())
-        assert cache.get("a" * 64) is not None
-
     def test_json_bytes_unchanged_by_sqlite_round_trip(self, tmp_path):
         """The sqlite backend must preserve the exact json serialization."""
         json_store = make_store(str(tmp_path / "j"))
@@ -211,6 +202,34 @@ class TestCorruption:
         assert store.get("a" * 64) is None
         assert store.corrupt_entries == 1
         store.close()
+
+
+class TestJsonConcurrency:
+    def test_concurrent_same_key_cache_puts_are_safe(self, tmp_path):
+        # shards or sweeps sharing one cache directory may publish the
+        # same deterministic result at once; the unique tmp names mean
+        # neither rename can crash the other, and the entry stays valid
+        store = JsonStore(str(tmp_path / "results"))
+        errors = []
+
+        def publish(i):
+            try:
+                for _ in range(20):
+                    store.put("k" * 64, fake_result(i))
+            except Exception as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [threading.Thread(target=publish, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert not errors
+        assert store.get("k" * 64).seed in range(4)
+        leftovers = [
+            name for name in os.listdir(str(tmp_path / "results")) if ".tmp" in name
+        ]
+        assert leftovers == []
 
 
 class TestSqliteConcurrency:
@@ -319,37 +338,3 @@ class TestMigration:
     def test_merge_missing_source_fails(self, tmp_path):
         with pytest.raises(SpecError, match="does not exist"):
             merge_caches([str(tmp_path / "nope")], str(tmp_path / "dest"))
-
-
-class TestQueueStore:
-    def test_queue_records_and_uses_store(self, tmp_path):
-        queue_dir = str(tmp_path / "queue")
-        spec = tiny_spec()
-        results = run_sweep(
-            spec,
-            workers=2,
-            cache_dir=str(tmp_path / "cache"),
-            executor="queue",
-            executor_options={"queue_dir": queue_dir, "store": "sqlite"},
-        )
-        assert len(results) == len(expand_spec(spec))
-        queue = WorkQueue(queue_dir)
-        assert queue.result_store_name() == "sqlite"
-        assert os.path.isfile(os.path.join(queue_dir, "results.db"))
-        published = queue.open_results()
-        assert len(published.keys()) == len(results)
-        published.close()
-
-    def test_queue_defaults_to_json_results_dir(self, tmp_path):
-        queue = WorkQueue(str(tmp_path / "queue"))
-        assert queue.result_store_name() == DEFAULT_STORE
-        store = queue.open_results()
-        assert isinstance(store, JsonStore)
-
-    def test_queue_unknown_store_fails_eagerly(self, tmp_path):
-        with pytest.raises(RegistryError, match="sqlite"):
-            make_executor(
-                "queue",
-                queue_dir=str(tmp_path / "queue"),
-                store="mongodb",
-            )
