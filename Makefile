@@ -75,9 +75,14 @@ phy-smoke:
 ## workload runs one operation and its last stdout line must report
 ## "correct": true, i.e. the 200-node HVDB and flooding runs reproduce
 ## their reference rows and the phy_smoke sweep its CSV digests
-## (perfbench/reference.json)
+## (perfbench/reference.json); then the two simulator workloads run once
+## more traced (--trace 1), and each must again be correct and leave
+## under PERF_UNATTRIBUTED_LIMIT of its traced time outside the named
+## layers (trace.unattributed_frac), so per-layer timings stay trustworthy
 PERF_CHECK_DIR := .ci/perf-check
 PERF_CHECK_WORKLOADS := hvdb_200 flood_200 sweep_phy_smoke
+PERF_TRACE_WORKLOADS := hvdb_200 flood_200
+PERF_UNATTRIBUTED_LIMIT := 0.05
 perf-check:
 	rm -rf $(PERF_CHECK_DIR)
 	mkdir -p $(PERF_CHECK_DIR)
@@ -88,7 +93,14 @@ perf-check:
 	      "import json, sys; sys.exit(json.loads(sys.stdin.read()).get('correct') is not True)" \
 	    || { cat $$out; echo "perf-check: $$w did not report \"correct\": true"; exit 1; }; \
 	done
-	@echo "make perf-check: OK ($(PERF_CHECK_WORKLOADS) match perfbench/reference.json)"
+	for w in $(PERF_TRACE_WORKLOADS); do \
+	  out=$(PERF_CHECK_DIR)/$$w.trace.out; \
+	  $(PYTHON) perfbench/run.py --workload $$w --seconds 0 --trace 1 > $$out \
+	    && tail -n 1 $$out | $(PYTHON) -c \
+	      "import json, sys; d = json.loads(sys.stdin.read()); frac = d.get('metrics', {}).get('trace.unattributed_frac', {}).get('value', 1.0); print(f'$$w trace.unattributed_frac = {frac:.2e}'); sys.exit(d.get('correct') is not True or not frac < $(PERF_UNATTRIBUTED_LIMIT))" \
+	    || { cat $$out; echo "perf-check: traced $$w was not \"correct\": true with trace.unattributed_frac < $(PERF_UNATTRIBUTED_LIMIT)"; exit 1; }; \
+	done
+	@echo "make perf-check: OK ($(PERF_CHECK_WORKLOADS) match perfbench/reference.json; traced $(PERF_TRACE_WORKLOADS) attribute all but < $(PERF_UNATTRIBUTED_LIMIT) of their time)"
 
 ## full benchmark suite regenerating the paper's evaluation (minutes)
 bench:

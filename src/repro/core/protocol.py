@@ -401,9 +401,9 @@ class HVDBProtocolAgent(ProtocolAgent):
         table.prune_expired(self.now)
         address = self.model.address_of_ch(self.node_id)
         neighbors = self.model.logical_neighbors_of_ch(self.node_id)
+        # (path, delay, bandwidth) per route; paths are immutable tuples
         advertisement = [
-            {"path": list(r.path), "delay": r.qos.delay, "bandwidth": r.qos.bandwidth}
-            for r in table.advertisement()
+            (path, qos.delay, qos.bandwidth) for path, qos in table.advertisement()
         ]
         size = 16 + 14 * len(advertisement)
         for peer in neighbors:
@@ -434,26 +434,20 @@ class HVDBProtocolAgent(ProtocolAgent):
         if payload["hid"] != my_address.hid:
             return
         table = self._ensure_route_table()
+        now = self.now
         # measure the logical-link QoS from the beacon itself
-        delay = max(1e-4, self.now - float(payload["sent_at"]))
+        delay = max(1e-4, now - float(payload["sent_at"]))
         contenders = max(1, len(self.network.neighbor_positions(self.node_id)))
         bandwidth = self.network.config.mac.bandwidth_bps / contenders \
             if hasattr(self.network.config.mac, "bandwidth_bps") else 1e6
         neighbor_hnid = int(payload["hnid"])
-        link = LinkQoS(delay=delay, bandwidth=bandwidth, measured_at=self.now)
+        link = LinkQoS(delay=delay, bandwidth=bandwidth, measured_at=now)
         table.update_neighbor(neighbor_hnid, link)
         advertised = [
-            LogicalRoute(
-                path=tuple(entry["path"]),
-                qos=LinkQoS(
-                    delay=float(entry["delay"]),
-                    bandwidth=float(entry["bandwidth"]),
-                    measured_at=self.now,
-                ),
-            )
-            for entry in payload["routes"]
+            LogicalRoute(path, LinkQoS(path_delay, path_bandwidth, now))
+            for path, path_delay, path_bandwidth in payload["routes"]
         ]
-        table.integrate_advertisement(neighbor_hnid, advertised, self.now)
+        table.integrate_advertisement(neighbor_hnid, advertised, now)
 
     # ------------------------------------------------------------------
     # Figure 6: data path

@@ -15,13 +15,11 @@ they can be tested in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True, slots=True)
-class LinkQoS:
-    """QoS state of one 1-logical-hop link."""
+class LinkQoS(NamedTuple):
+    """QoS state of one 1-logical-hop link (an immutable record)."""
 
     delay: float          #: seconds across the logical link (multi-hop physical)
     bandwidth: float      #: available bandwidth in bits per second
@@ -30,14 +28,13 @@ class LinkQoS:
     def combined_with(self, other: "LinkQoS") -> "LinkQoS":
         """QoS of the concatenation of two logical links."""
         return LinkQoS(
-            delay=self.delay + other.delay,
-            bandwidth=min(self.bandwidth, other.bandwidth),
-            measured_at=min(self.measured_at, other.measured_at),
+            self.delay + other.delay,
+            min(self.bandwidth, other.bandwidth),
+            min(self.measured_at, other.measured_at),
         )
 
 
-@dataclass(frozen=True, slots=True)
-class LogicalRoute:
+class LogicalRoute(NamedTuple):
     """A local logical route: the HNID path plus its aggregate QoS."""
 
     path: Tuple[int, ...]     #: HNIDs from this CH (inclusive) to the destination
@@ -54,7 +51,7 @@ class LogicalRoute:
 
     def extended(self, next_hnid: int, link_qos: LinkQoS) -> "LogicalRoute":
         """Prepend-free extension: append one more logical hop at the far end."""
-        return LogicalRoute(path=self.path + (next_hnid,), qos=self.qos.combined_with(link_qos))
+        return LogicalRoute(self.path + (next_hnid,), self.qos.combined_with(link_qos))
 
 
 class LogicalRouteTable:
@@ -83,6 +80,9 @@ class LogicalRouteTable:
         self.expiry = expiry
         self._routes: Dict[int, List[LogicalRoute]] = {}
         self._neighbor_qos: Dict[int, LinkQoS] = {}
+        # a lower bound on every route's ``measured_at``: inserts lower it,
+        # removals leave it valid, a pruning walk recomputes it
+        self._oldest = float("inf")
 
     # ------------------------------------------------------------------
     # updates
@@ -92,8 +92,7 @@ class LogicalRouteTable:
         if neighbor_hnid == self.own_hnid:
             raise ValueError("a CH has no logical link to itself")
         self._neighbor_qos[neighbor_hnid] = qos
-        direct = LogicalRoute(path=(self.own_hnid, neighbor_hnid), qos=qos)
-        self._insert(direct)
+        self._insert(LogicalRoute((self.own_hnid, neighbor_hnid), qos))
 
     def remove_neighbor(self, neighbor_hnid: int) -> None:
         """Drop the direct link and every route through that neighbour."""
@@ -121,48 +120,68 @@ class LogicalRouteTable:
         link = self._neighbor_qos.get(neighbor_hnid)
         if link is None:
             return 0
+        own = self.own_hnid
         accepted = 0
-        for route in advertised:
-            if route.path[0] != neighbor_hnid:
+        for path, qos in advertised:
+            # prefixing the link makes the route len(path) logical hops long
+            if path[0] != neighbor_hnid or own in path or len(path) > self.max_logical_hops:
                 continue
-            if self.own_hnid in route.path:
-                continue
-            total_hops = route.logical_hops + 1
-            if total_hops > self.max_logical_hops:
-                continue
-            combined = LogicalRoute(
-                path=(self.own_hnid,) + route.path,
-                qos=link.combined_with(route.qos),
-            )
-            if self._insert(combined):
+            if self._insert(LogicalRoute((own,) + path, link.combined_with(qos))):
                 accepted += 1
         self.prune_expired(now)
         return accepted
 
     def _insert(self, route: LogicalRoute) -> bool:
-        """Insert a route, keeping the per-destination list bounded and sorted."""
-        dest = route.destination
+        """Insert a route, keeping the per-destination list bounded and sorted.
+
+        A route with the same path is replaced (a refresh), and the new
+        route goes just after every route whose (logical hops, delay) key
+        is <= its own: where appending and a stable sort would put it.
+        Returns whether the route made the cut.
+        """
+        path, qos = route
+        dest = path[-1]
         if dest == self.own_hnid:
             return False
         existing = self._routes.setdefault(dest, [])
-        # replace any route with the identical path (refresh)
-        existing[:] = [r for r in existing if r.path != route.path]
-        existing.append(route)
-        existing.sort(key=lambda r: (r.logical_hops, r.qos.delay))
-        if len(existing) > self.routes_per_destination:
-            del existing[self.routes_per_destination:]
-        return route in existing
+        for i, other in enumerate(existing):
+            if other.path == path:
+                del existing[i]       # paths are unique within a list
+                break
+        key = (len(path), qos.delay)
+        at = 0
+        for other in existing:
+            if key < (len(other.path), other.qos.delay):
+                break
+            at += 1
+        cap = self.routes_per_destination
+        if at < cap:
+            existing.insert(at, route)
+            if qos.measured_at < self._oldest:
+                self._oldest = qos.measured_at
+        del existing[cap:]
+        return at < cap
 
     def prune_expired(self, now: float) -> int:
-        """Drop routes whose QoS measurement is older than ``expiry`` seconds."""
+        """Drop routes whose QoS measurement is older than ``expiry`` seconds.
+
+        ``now - measured_at`` never grows as ``measured_at`` grows, so
+        while a route measured at the table's lower bound would not have
+        expired, none has and the walk is skipped.
+        """
+        if now - self._oldest <= self.expiry:
+            return 0
         dropped = 0
-        for dest in list(self._routes.keys()):
-            kept = [r for r in self._routes[dest] if now - r.qos.measured_at <= self.expiry]
-            dropped += len(self._routes[dest]) - len(kept)
+        oldest = float("inf")
+        for dest, routes in list(self._routes.items()):
+            kept = [r for r in routes if now - r.qos.measured_at <= self.expiry]
+            dropped += len(routes) - len(kept)
             if kept:
                 self._routes[dest] = kept
+                oldest = min(oldest, *(r.qos.measured_at for r in kept))
             else:
                 del self._routes[dest]
+        self._oldest = oldest
         return dropped
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ state machine:
   churn never loses a run, and deterministic results make the
   re-execution byte-identical;
 * a dispossessed worker (its stale lease was stolen) must never refresh
-  or release the *new* holder's lease.
+  or release the *new* holder's lease, nor fail its run.
 
 This module is the home of that protocol's constants and rules --
 :data:`DEFAULT_STALE_AFTER` and :func:`is_stale` -- plus the pieces that
@@ -44,11 +44,6 @@ def is_stale(age: float, stale_after: float) -> bool:
     timestamps produced by different machines.
     """
     return age > stale_after
-
-
-class LeaseLost(OSError):
-    """A heartbeat or release was attempted on a lease the worker no
-    longer holds (it went stale and another worker reclaimed it)."""
 
 
 @dataclass
@@ -124,13 +119,6 @@ class LeaseTable:
             return False
         self._leases[task_id] = Lease(task_id=task_id, owner=owner, last_beat=now)
         return True
-
-    def heartbeat(self, task_id: str, owner: str, now: float) -> None:
-        """Refresh the lease's liveness stamp; :class:`LeaseLost` if lost."""
-        lease = self._leases.get(task_id)
-        if lease is None or lease.owner != owner:
-            raise LeaseLost(f"lease on {task_id} is no longer held by {owner}")
-        lease.last_beat = now
 
     def touch_owner(self, owner: str, now: float) -> None:
         """Refresh every lease ``owner`` holds (any message is a heartbeat)."""

@@ -20,9 +20,9 @@ Churn tolerance:
 * a worker that stays connected but goes **silent** longer than
   ``stale_after`` has its leases reclaimed by the executor's poll loop;
 * either way the runs are re-leased to the next worker that asks, and a
-  dispossessed worker's late result is dropped -- every run is recorded
-  exactly once, and deterministic execution makes the re-run
-  byte-identical;
+  dispossessed worker's late result or error is dropped -- every run is
+  recorded exactly once, only its current lease holder can fail it, and
+  deterministic execution makes the re-run byte-identical;
 * a **malformed frame** kills only the offending connection.
 
 :class:`TcpExecutor` (registered as ``tcp``) wraps the coordinator in the
@@ -302,7 +302,7 @@ class Coordinator:
             elif kind == protocol.FRAME_RESULT:
                 self._handle_result(conn, payload)
             elif kind == protocol.FRAME_ERROR:
-                self._handle_error(conn, payload)
+                self._handle_error(conn, worker, payload)
             elif kind == protocol.FRAME_CLOSE:
                 return True  # voluntary detach (not churn)
             else:
@@ -347,10 +347,16 @@ class Coordinator:
             # already completed -- drop it (exactly-once recording)
         conn.send(protocol.FRAME_RESULT, {"task_id": task_id})
 
-    def _handle_error(self, conn: FrameConnection, payload: Dict[str, Any]) -> None:
+    def _handle_error(
+        self, conn: FrameConnection, worker: str, payload: Dict[str, Any]
+    ) -> None:
         task_id = payload.get("task_id")
         with self._done:
-            if isinstance(task_id, str) and task_id in self._tasks:
+            if (
+                isinstance(task_id, str)
+                and task_id in self._tasks
+                and self._leases.owner(task_id) == worker
+            ):
                 self._failed[task_id] = {
                     "run_id": str(payload.get("run_id", task_id)),
                     "error": str(payload.get("error", "unknown error")),
@@ -358,6 +364,8 @@ class Coordinator:
                 del self._tasks[task_id]
                 self._leases.release(task_id)
                 self._done.notify_all()
+            # else: a dispossessed worker's late error -- the run is leased
+            # to (or awaits) another worker, so drop it like a late result
         conn.send(protocol.FRAME_ERROR, {"task_id": task_id})
 
 

@@ -29,6 +29,7 @@ class ProtocolAgent(abc.ABC):
     def __init__(self) -> None:
         self.node: Optional["MobileNode"] = None
         self.network: Optional["Network"] = None
+        self.node_id: Optional[int] = None     #: the node's id (set by :meth:`bind`)
 
     # ------------------------------------------------------------------
     # wiring (called by MobileNode.attach_agent)
@@ -36,15 +37,12 @@ class ProtocolAgent(abc.ABC):
     def bind(self, node: "MobileNode", network: "Network") -> None:
         self.node = node
         self.network = network
+        self.node_id = node.node_id
 
     @property
     def simulator(self):
         """The shared simulation kernel (valid after :meth:`bind`)."""
         return self.network.simulator
-
-    @property
-    def node_id(self) -> int:
-        return self.node.node_id
 
     @property
     def now(self) -> float:

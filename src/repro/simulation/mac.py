@@ -19,13 +19,12 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 from repro.registry import register_mac
 
 
-@dataclass(frozen=True)
-class TxPlan:
+class TxPlan(NamedTuple):
     """The MAC's verdict on one frame handed over for transmission.
 
     ``proceed=False`` means the MAC refused the frame outright (e.g. a
@@ -83,12 +82,8 @@ class MacModel(abc.ABC):
         duty-cycle budgets) override this.
         """
         delay = self.transmission_delay(size_bytes, contenders)
-        return TxPlan(
-            proceed=True,
-            delay=delay,
-            loss_probability=self.loss_probability(contenders),
-            airtime=delay,
-        )
+        # positional, once per frame: proceed, delay, loss_probability, airtime
+        return TxPlan(True, delay, self.loss_probability(contenders), delay)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.geo.area import Area
 from repro.geo.geometry import Point, Vector
@@ -168,7 +168,10 @@ class Network:
         tick (and after :meth:`fail_nodes` / :meth:`recover_nodes`) and
         handed to every caller until then.
         """
-        return self._neighbor_table().get(node_id, _NO_NEIGHBORS)
+        table = self._neighbor_cache
+        if table is None:
+            table = self._neighbor_table()
+        return table.get(node_id, _NO_NEIGHBORS)
 
     def are_neighbors(self, a: int, b: int) -> bool:
         return b in self.neighbor_positions(a)
@@ -180,6 +183,7 @@ class Network:
         if self._neighbor_cache is not None:
             return self._neighbor_cache
         radio = self.config.radio
+        in_range = radio.in_range
         index: SpatialHash[int] = SpatialHash(radio.nominal_range)
         positions: Dict[int, Point] = {}
         for node_id, node in self.nodes.items():
@@ -188,12 +192,20 @@ class Network:
             pos = self.mobility.position(node_id)
             positions[node_id] = pos
             index.insert(node_id, pos)
+        # nodes in one cell share their candidates: list them once per cell
+        cell_candidates: Dict[Tuple[int, int], List[Tuple[int, Point]]] = {}
         table: Dict[int, Mapping[int, Point]] = {}
         for node_id, pos in positions.items():
+            cell = index.cell_of(pos)
+            candidates = cell_candidates.get(cell)
+            if candidates is None:
+                candidates = cell_candidates[cell] = [
+                    (other, positions[other]) for other in index.candidates(pos)
+                ]
             table[node_id] = MappingProxyType({
-                other: positions[other]
-                for other in index.candidates(pos)
-                if other != node_id and radio.in_range(pos, positions[other])
+                other: other_pos
+                for other, other_pos in candidates
+                if other != node_id and in_range(pos, other_pos)
             })
         self._neighbor_cache = table
         return table
@@ -280,24 +292,24 @@ class Network:
         sender_node = self.nodes[sender]
         if not sender_node.alive:
             return
-        if packet.hops >= self.config.max_packet_hops:
-            self.stats.drops_ttl += 1
+        config = self.config
+        stats = self.stats
+        if packet.hops >= config.max_packet_hops:
+            stats.drops_ttl += 1
             return
         sender_pos = self.mobility.position(sender)
         neighbors = self.neighbor_positions(sender)
         now = self.simulator.now
-        radio = self.config.radio
-        plan = self.config.mac.plan_transmission(
+        radio = config.radio
+        proceed, delay, mac_loss, airtime = config.mac.plan_transmission(
             sender, now, packet.size_bytes, len(neighbors), self.rng
         )
-        if not plan.proceed:
-            self.stats.drops_duty_cycle += 1
+        if not proceed:
+            stats.drops_duty_cycle += 1
             return
         self._count_transmission(packet)
-        self.stats.airtime_seconds += plan.airtime
-        radio.note_transmission(sender, sender_pos, now, now + plan.airtime)
-        delay = plan.delay
-        mac_loss = plan.loss_probability
+        stats.airtime_seconds += airtime
+        radio.note_transmission(sender, sender_pos, now, now + airtime)
 
         if destination is None:
             targets = neighbors.items()
@@ -305,11 +317,12 @@ class Network:
             targets = ((destination, neighbors[destination]),)
         else:
             targets = ()
-            self.stats.drops_out_of_range += 1
+            stats.drops_out_of_range += 1
 
         # Unicast frames benefit from link-layer ARQ (802.11-style retries);
         # broadcast frames are fire-and-forget.
-        attempts = 1 + (self.config.unicast_retries if destination is not None else 0)
+        attempts = 1 + (config.unicast_retries if destination is not None else 0)
+        draw = self.rng.random
         for target, target_pos in targets:
             receiver = self.nodes.get(target)
             if receiver is None or not receiver.alive:
@@ -324,9 +337,9 @@ class Network:
                     target,
                     target_pos,
                     attempt_start,
-                    attempt_start + plan.airtime,
+                    attempt_start + airtime,
                 )
-                if self.rng.random() < p_rx and self.rng.random() >= mac_loss:
+                if draw() < p_rx and draw() >= mac_loss:
                     received = True
                     break
                 # a failed attempt costs another frame time (and is counted
@@ -334,13 +347,13 @@ class Network:
                 if attempt + 1 < attempts:
                     total_delay += delay
                     self._count_transmission(packet)
-                    self.stats.airtime_seconds += plan.airtime
+                    stats.airtime_seconds += airtime
                     retry_start = now + (attempt + 1) * delay
                     radio.note_transmission(
-                        sender, sender_pos, retry_start, retry_start + plan.airtime
+                        sender, sender_pos, retry_start, retry_start + airtime
                     )
             if not received:
-                self.stats.drops_loss += 1
+                stats.drops_loss += 1
                 continue
             copy = packet.copy_for_forwarding()
             copy.hops += 1

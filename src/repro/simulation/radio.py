@@ -86,10 +86,26 @@ class UnitDiskRadio(RadioModel):
         return self.range_m
 
     def in_range(self, a: Point, b: Point) -> bool:
-        return distance(a, b) <= self.range_m + 1e-9
+        return math.hypot(a.x - b.x, a.y - b.y) <= self.range_m + 1e-9
 
     def reception_probability(self, a: Point, b: Point) -> float:
         return 1.0 if self.in_range(a, b) else 0.0
+
+    def reception_probability_during(
+        self,
+        sender: int,
+        sender_pos: Point,
+        receiver: int,
+        receiver_pos: Point,
+        start: float,
+        end: float,
+    ) -> float:
+        # the transmit seam in one call: reception_probability's test inline
+        in_range = (
+            math.hypot(sender_pos.x - receiver_pos.x, sender_pos.y - receiver_pos.y)
+            <= self.range_m + 1e-9
+        )
+        return 1.0 if in_range else 0.0
 
 
 class LogDistanceRadio(RadioModel):

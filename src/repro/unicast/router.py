@@ -94,15 +94,17 @@ class GeoUnicastAgent(ProtocolAgent):
     def _forward(self, envelope: Packet) -> None:
         dest = envelope.headers["dest_node"]
         network = self.network
-        if dest not in network.nodes or not network.node(dest).alive:
+        dest_node = network.nodes.get(dest)
+        if dest_node is None or not dest_node.alive:
             self.dropped_no_route += 1
             return
-        neighbors = network.neighbor_positions(self.node_id)
+        node_id = self.node_id
+        neighbors = network.neighbor_positions(node_id)
         if dest in neighbors:
             self.node.unicast(dest, envelope)
             return
         dest_pos = network.position_of(dest)
-        my_pos = network.position_of(self.node_id)
+        my_pos = network.position_of(node_id)
         visited = envelope.headers["visited"]
         next_hop = greedy.greedy_next_hop(my_pos, dest_pos, neighbors, exclude=visited)
         if next_hop is None:

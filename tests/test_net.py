@@ -24,7 +24,6 @@ from repro.experiments.executors import EXECUTORS, Executor, make_executor
 from repro.experiments.leases import (
     DEFAULT_STALE_AFTER,
     ExecutorStats,
-    LeaseLost,
     LeaseTable,
     is_stale,
 )
@@ -255,19 +254,6 @@ class TestLeaseStateMachine:
         assert table.claim("t1", "dead", now=100.0)
         assert table.claim("t1", "rescuer", now=140.0)
         assert table.owner("t1") == "rescuer"
-
-    def test_heartbeat_keeps_lease_alive(self):
-        table = LeaseTable(stale_after=30.0)
-        table.claim("t1", "busy", now=100.0)
-        table.heartbeat("t1", "busy", now=125.0)
-        assert not table.claim("t1", "thief", now=140.0)
-
-    def test_heartbeat_by_dispossessed_worker_raises(self):
-        table = LeaseTable(stale_after=30.0)
-        table.claim("t1", "stalled", now=100.0)
-        table.claim("t1", "thief", now=140.0)
-        with pytest.raises(LeaseLost):
-            table.heartbeat("t1", "stalled", now=141.0)
 
     def test_release_by_dispossessed_worker_is_a_noop(self):
         table = LeaseTable(stale_after=30.0)
@@ -509,6 +495,55 @@ class TestCoordinatorChurn:
             stats = coord.stats()
             assert stats.leases_reclaimed == 1
             assert stats.runs_reexecuted == 1
+        finally:
+            coord.close(grace=0.2)
+
+    def test_dispossessed_worker_does_not_clobber_the_new_owner(self):
+        # a silent worker loses its lease and the run is leased to another
+        # worker; the first one's late error, sent while the new owner is
+        # still executing, must not fail the run
+        coord = self.make_coordinator(stale_after=0.2)
+        try:
+            (run,) = expand_spec(tiny_spec(grid={}, seeds=(1,)))
+            task_id = run.cache_key()
+            coord.submit(task_id, run)
+
+            silent, _hello = connect_raw(coord.port, worker="silent")
+            silent.send(protocol.FRAME_DRAIN, {})
+            kind, _payload = silent.recv()
+            assert kind == protocol.FRAME_LEASE
+            time.sleep(0.5)  # well past stale_after, no heartbeat
+            assert coord.reclaim_stale() == 1
+
+            owner, _hello = connect_raw(coord.port, worker="owner")
+            owner.send(protocol.FRAME_DRAIN, {})
+            kind, payload = owner.recv()
+            assert kind == protocol.FRAME_LEASE
+            assert payload["task_id"] == task_id
+
+            silent.send(
+                protocol.FRAME_ERROR,
+                {"task_id": task_id, "run_id": run.run_id, "error": "late failure"},
+            )
+            kind, _payload = silent.recv()
+            assert kind == protocol.FRAME_ERROR  # still acked, but dropped
+            assert coord.drain(timeout=0.1) == ({}, {})
+
+            owner.send(
+                protocol.FRAME_RESULT,
+                {"task_id": task_id, "result": protocol.encode_result(stub_result(run))},
+            )
+            kind, _payload = owner.recv()
+            assert kind == protocol.FRAME_RESULT
+            for conn in (silent, owner):
+                conn.send(protocol.FRAME_CLOSE, {})
+                conn.close()
+
+            results, errors = coord.drain(timeout=5.0)
+            assert errors == {}
+            assert list(results) == [task_id]
+            assert results[task_id].metrics["pdr"] == 1.0
+            assert coord.stats().runs_reexecuted == 1
         finally:
             coord.close(grace=0.2)
 

@@ -1,11 +1,15 @@
 """Unit tests for nodes and the network (transmission, neighbours, ledger)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geo.area import Area
-from repro.geo.geometry import Point
+from repro.geo.geometry import Point, distance
+from repro.geo.grid import SpatialHash
 from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.mobility.static import StaticMobility
+from repro.registry import RADIOS
 from repro.simulation.agent import ProtocolAgent
 from repro.simulation.mac import IdealMac
 from repro.simulation.network import Network, NetworkConfig
@@ -300,3 +304,84 @@ class TestMobilityIntegration:
         net.recover_nodes([5])
         check()
         assert any(5 in net.neighbor_positions(i) for i in ids)
+
+
+def reference_neighbor_lists(net):
+    """Neighbour lists as the table was built before candidates were listed
+    once per cell: one ``SpatialHash.candidates`` walk per node, and the
+    unit disk's ``in_range`` through ``geometry.distance``."""
+    radio = net.config.radio
+    if type(radio) is UnitDiskRadio:
+        def in_range(a, b):
+            return distance(a, b) <= radio.range_m + 1e-9
+    else:
+        in_range = radio.in_range
+    index = SpatialHash(radio.nominal_range)
+    positions = {}
+    for node_id, node in net.nodes.items():
+        if not node.alive:
+            continue
+        pos = net.mobility.position(node_id)
+        positions[node_id] = pos
+        index.insert(node_id, pos)
+    return {
+        node_id: [
+            (other, positions[other])
+            for other in index.candidates(pos)
+            if other != node_id and in_range(pos, positions[other])
+        ]
+        for node_id, pos in positions.items()
+    }
+
+
+_NODE_ACTIONS = st.one_of(
+    st.tuples(st.just("tick"), st.integers(min_value=1, max_value=3)),
+    st.tuples(st.just("fail"), st.lists(st.integers(min_value=0, max_value=29), max_size=5)),
+    st.tuples(st.just("recover"), st.lists(st.integers(min_value=0, max_value=29), max_size=5)),
+)
+
+
+class TestNeighborTableMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        radio_name=st.sampled_from(RADIOS.names()),
+        n_nodes=st.integers(min_value=2, max_value=30),
+        seed=st.integers(min_value=0, max_value=10_000),
+        # forced (i, j) lattice points at half-cell spacing: on cell edges,
+        # and whole cells (exactly the nominal range) apart
+        lattice=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)),
+            max_size=12,
+        ),
+        actions=st.lists(_NODE_ACTIONS, max_size=8),
+    )
+    def test_neighbor_positions_match_per_node_walk(
+        self, radio_name, n_nodes, seed, lattice, actions
+    ):
+        area = Area(1000.0, 1000.0)
+        ids = list(range(n_nodes))
+        radio = RADIOS.get(radio_name)(None)
+        step = radio.nominal_range / 2.0
+        mobility = RandomWaypointMobility(area, ids, min_speed=5.0, max_speed=40.0, seed=seed)
+        for node_id, (i, j) in zip(ids, lattice):
+            mobility.set_position(node_id, Point(i * step, j * step))
+        net = Network(NetworkConfig(area=area, radio=radio, mac=IdealMac()), mobility)
+        net.add_nodes(MobileNode(i) for i in ids)
+        net.start()
+
+        def check():
+            expected = reference_neighbor_lists(net)
+            for node_id in ids:
+                assert list(net.neighbor_positions(node_id).items()) == (
+                    expected.get(node_id, [])
+                ), node_id
+
+        check()
+        for kind, arg in actions:
+            if kind == "tick":
+                net.simulator.run(float(arg))
+            elif kind == "fail":
+                net.fail_nodes(i for i in arg if i < n_nodes)
+            else:
+                net.recover_nodes(i for i in arg if i < n_nodes)
+            check()

@@ -1,10 +1,14 @@
 """Unit tests for packets, radio models and the MAC abstraction."""
 
 import dataclasses
+import math
+import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from repro.geo.geometry import Point
+from repro.geo.geometry import Point, distance
 from repro.simulation.mac import IdealMac, SimpleCsmaMac
 from repro.simulation.packet import Packet, PacketKind, control_packet, data_packet
 from repro.simulation.radio import LogDistanceRadio, UnitDiskRadio
@@ -79,6 +83,54 @@ class TestUnitDiskRadio:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             UnitDiskRadio(0.0)
+
+
+def reference_unit_disk_probability(radio, a, b):
+    """``reception_probability`` -> ``in_range`` -> ``distance``, as the
+    transmit seam reached it before the unit disk answered it directly."""
+    return 1.0 if distance(a, b) <= radio.range_m + 1e-9 else 0.0
+
+
+class TestUnitDiskTransmitSeam:
+    @pytest.mark.parametrize("range_m", [100.0, 250.0, 333.3])
+    def test_matches_reception_probability_at_the_range_edge(self, range_m):
+        radio = UnitDiskRadio(range_m)
+        edge = range_m + 1e-9
+        distances = (
+            range_m,
+            range_m - 1e-9,
+            range_m + 1e-9,
+            math.nextafter(range_m, 0.0),
+            math.nextafter(range_m, math.inf),
+            math.nextafter(edge, 0.0),
+            math.nextafter(edge, math.inf),
+        )
+        origin = Point(0.0, 0.0)
+        seen = set()
+        for d in distances:
+            for far in (Point(d, 0.0), Point(0.0, -d), Point(-d, 0.0)):
+                p = radio.reception_probability_during(1, origin, 2, far, 0.0, 0.01)
+                assert p == radio.reception_probability(origin, far)
+                assert p == reference_unit_disk_probability(radio, origin, far)
+                seen.add(p)
+        assert seen == {0.0, 1.0}
+
+    @given(
+        x=st.floats(min_value=-2000.0, max_value=2000.0),
+        y=st.floats(min_value=-2000.0, max_value=2000.0),
+        angle=st.floats(min_value=0.0, max_value=2 * math.pi),
+        offset=st.floats(min_value=-1e-6, max_value=1e-6),
+    )
+    @example(x=0.0, y=0.0, angle=0.0, offset=1e-9)
+    @example(x=0.1, y=0.7, angle=1.0, offset=0.0)
+    def test_matches_reception_probability_near_the_edge(self, x, y, angle, offset):
+        radio = UnitDiskRadio(250.0)
+        a = Point(x, y)
+        b = Point(x + (250.0 + offset) * math.cos(angle), y + (250.0 + offset) * math.sin(angle))
+        for sender, receiver in ((a, b), (b, a)):
+            p = radio.reception_probability_during(0, sender, 1, receiver, 5.0, 5.1)
+            assert p == radio.reception_probability(sender, receiver)
+            assert p == reference_unit_disk_probability(radio, sender, receiver)
 
 
 class TestLogDistanceRadio:
@@ -156,6 +208,13 @@ class TestIdealMac:
         mac = IdealMac(delay=0.002)
         assert mac.transmission_delay(10_000, 50) == 0.002
         assert mac.loss_probability(50) == 0.0
+
+    def test_plan_rejects_field_assignment(self):
+        plan = IdealMac().plan_transmission(0, 0.0, 100, 2, random.Random(1))
+        with pytest.raises(AttributeError):
+            plan.delay = 1.0
+        with pytest.raises(AttributeError):
+            plan.proceed = False
 
 
 class TestMacLossProbabilityContract:
