@@ -102,9 +102,12 @@ perf-check:
 	done
 	@echo "make perf-check: OK ($(PERF_CHECK_WORKLOADS) match perfbench/reference.json; traced $(PERF_TRACE_WORKLOADS) attribute all but < $(PERF_UNATTRIBUTED_LIMIT) of their time)"
 
-## full benchmark suite regenerating the paper's evaluation (minutes)
+## the paper's claims: every benchmarks/bench_*.py regenerates one table
+## of the evaluation and asserts its claim (minutes).  The files are not
+## named test_*.py, so the pattern is given here; tier-1 (make test)
+## keeps pytest's default collection
 bench:
-	$(PYTHON) -m pytest -q benchmarks/
+	$(PYTHON) -m pytest -q -o python_files='bench_*.py' benchmarks/
 
 ## documentation consistency: the docs suite exists, intra-repo links
 ## resolve, README + docs/ match the shipped CLI, quoted sweep/make
@@ -143,8 +146,8 @@ check: test bench-smoke adaptive-smoke net-smoke store-smoke phy-smoke perf-chec
 ## json byte-equality + migrate), the physical-layer smoke (3x3
 ## radio/MAC grid, warm zero-exec replay, golden fingerprints), the
 ## benchmark's correctness check (every perfbench workload reproduces
-## its reference), and a perf-trend append judged against the trailing
-## window
+## its reference), the paper's claims (make bench), and a perf-trend
+## append judged against the trailing window
 CI_DIR := .ci
 ci: test docs-check protocol-coverage
 	rm -rf $(CI_DIR)
@@ -177,7 +180,8 @@ ci: test docs-check protocol-coverage
 	$(MAKE) store-smoke
 	$(MAKE) phy-smoke
 	$(MAKE) perf-check
+	$(MAKE) bench
 	$(PYTHON) -m repro.experiments perf smoke \
 	  --current $(CI_DIR)/artifacts/smoke.json \
 	  --trend $(CI_DIR)/trend.jsonl --tolerance 10
-	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, perf, adaptive, net, store, phy, perf-check, trend)"
+	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, perf, adaptive, net, store, phy, perf-check, paper claims, trend)"

@@ -3,8 +3,11 @@
 A minimal but complete event-driven kernel: the heap holds
 ``(time, priority, sequence, event)`` tuples and the simulator pops them in
 that order and advances a virtual clock.  The sequence number is unique,
-so tuple comparison never reaches the :class:`Event`.  Periodic timers are
-provided as a convenience for protocol beaconing and mobility epochs.
+so tuple comparison never reaches the :class:`Event`.  One entry may fan
+out into several same-time calls of one callback (a broadcast's
+receptions); it reserves one sequence number per call and runs them in
+exactly the order separate entries would.  Periodic timers are provided as
+a convenience for protocol beaconing and mobility epochs.
 """
 
 from __future__ import annotations
@@ -33,6 +36,68 @@ class Event:
         self.cancelled = True
 
 
+class _FanOut(Event):
+    """One heap entry making ``callback(*args)`` for each ``args`` in ``items``.
+
+    Call ``i`` owns sequence number ``sequence + i``.  Before each call
+    after the first, the entry pushes itself back under that number if
+    :meth:`Simulator.stop` was called or the heap top sorts before it (a
+    zero-delay, lower-priority event queued by an earlier call), so the
+    calls interleave with other events exactly as separate entries would.
+    ``callback`` holds the bound :meth:`_fire`, a reference cycle that is
+    cut once the last call returns or the entry is cancelled, so a spent
+    fan-out and its items are freed by reference counting alone.
+    """
+
+    __slots__ = ("_simulator", "_priority", "_sequence", "_target", "_items", "_next")
+
+    def __init__(
+        self,
+        simulator: "Simulator",
+        time: float,
+        priority: int,
+        sequence: int,
+        target: Callable[..., None],
+        items: List[tuple],
+    ) -> None:
+        super().__init__(time, self._fire)
+        self._simulator = simulator
+        self._priority = priority
+        self._sequence = sequence
+        self._target = target
+        self._items = items
+        self._next = 0
+
+    def cancel(self) -> None:
+        """Drop the calls not made yet."""
+        self.cancelled = True
+        self.callback = None
+
+    def _fire(self) -> None:
+        simulator = self._simulator
+        heap = simulator._heap
+        time, priority, sequence = self.time, self._priority, self._sequence
+        target = self._target
+        items = self._items
+        index = self._next
+        last = len(items) - 1
+        target(*items[index])
+        while index < last:
+            if self.cancelled:
+                return
+            index += 1
+            if not simulator._running or (
+                heap and heap[0] < (time, priority, sequence + index)
+            ):
+                self._next = index
+                heapq.heappush(heap, (time, priority, sequence + index, self))
+                return
+            # the loop that popped this entry counts the last call made
+            simulator._processed += 1
+            target(*items[index])
+        self.callback = None
+
+
 class Simulator:
     """Event-driven simulation kernel with a floating-point clock (seconds)."""
 
@@ -51,24 +116,47 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Number of events executed so far."""
+        """Number of callback calls executed so far (each fan-out call counts)."""
         return self._processed
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
+        """Number of heap entries still queued (including cancelled ones).
+
+        A fan-out counts once, however many of its calls are still to come,
+        so this is not the number of calls left.
+        """
         return len(self._heap)
 
     # ------------------------------------------------------------------
     def schedule(
-        self, delay: float, callback: Callable[[], None], priority: int = 0
+        self,
+        delay: float,
+        callback: Callable[..., None],
+        priority: int = 0,
+        each: Optional[List[tuple]] = None,
     ) -> Event:
-        """Schedule ``callback`` to run ``delay`` seconds from now."""
+        """Schedule ``callback`` to run ``delay`` seconds from now.
+
+        With ``each`` (a non-empty list of argument tuples) one entry makes
+        ``callback(*args)`` for every ``args`` in order, at the same time
+        and priority, exactly as if each call had been scheduled here
+        separately; cancelling the returned handle drops the calls not
+        made yet.
+        """
         if delay < 0:
             raise ValueError("cannot schedule events in the past")
         time = self._now + delay
-        event = Event(time, callback)
-        heapq.heappush(self._heap, (time, priority, next(self._sequence), event))
+        if each is None:
+            event = Event(time, callback)
+            heapq.heappush(self._heap, (time, priority, next(self._sequence), event))
+            return event
+        if not each:
+            raise ValueError("a fan-out needs at least one call")
+        sequence = next(self._sequence)
+        self._sequence = itertools.count(sequence + len(each))
+        event = _FanOut(self, time, priority, sequence, callback, each)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     def schedule_at(
@@ -112,7 +200,7 @@ class Simulator:
         self._running = False
 
     def drain(self, max_events: Optional[int] = None) -> int:
-        """Run every queued event regardless of time; returns events executed.
+        """Run every queued event regardless of time; returns calls executed.
 
         Mainly useful in unit tests that want to flush all pending work.
         """

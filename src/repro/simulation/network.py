@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from math import hypot
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -183,7 +184,8 @@ class Network:
         if self._neighbor_cache is not None:
             return self._neighbor_cache
         radio = self.config.radio
-        in_range = radio.in_range
+        # RadioModel.in_range, inline: the one disc test every radio uses
+        reach = radio.nominal_range + 1e-9
         index: SpatialHash[int] = SpatialHash(radio.nominal_range)
         positions: Dict[int, Point] = {}
         for node_id, node in self.nodes.items():
@@ -202,10 +204,11 @@ class Network:
                 candidates = cell_candidates[cell] = [
                     (other, positions[other]) for other in index.candidates(pos)
                 ]
+            x, y = pos.x, pos.y
             table[node_id] = MappingProxyType({
                 other: other_pos
                 for other, other_pos in candidates
-                if other != node_id and in_range(pos, other_pos)
+                if other != node_id and hypot(x - other_pos.x, y - other_pos.y) <= reach
             })
         self._neighbor_cache = table
         return table
@@ -320,8 +323,12 @@ class Network:
             stats.drops_out_of_range += 1
 
         # Unicast frames benefit from link-layer ARQ (802.11-style retries);
-        # broadcast frames are fire-and-forget.
+        # broadcast frames are fire-and-forget: one attempt, so all their
+        # receptions share ``delay`` and go out as one fan-out entry.
         attempts = 1 + (config.unicast_retries if destination is not None else 0)
+        receptions: Optional[List[Tuple[MobileNode, Packet, int]]] = (
+            [] if destination is None else None
+        )
         draw = self.rng.random
         for target, target_pos in targets:
             receiver = self.nodes.get(target)
@@ -357,9 +364,14 @@ class Network:
                 continue
             copy = packet.copy_for_forwarding()
             copy.hops += 1
-            self.simulator.schedule(
-                total_delay, lambda r=receiver, c=copy, s=sender: self._deliver(r, c, s)
-            )
+            if receptions is not None:
+                receptions.append((receiver, copy, sender))
+            else:
+                self.simulator.schedule(
+                    total_delay, lambda r=receiver, c=copy, s=sender: self._deliver(r, c, s)
+                )
+        if receptions:
+            self.simulator.schedule(delay, self._deliver, each=receptions)
 
     def _deliver(self, receiver: MobileNode, packet: Packet, sender: int) -> None:
         self.stats.receptions += 1

@@ -276,9 +276,6 @@ class SinrRadio(RadioModel):
         )
         return self.config.tx_power_dbm - path_loss
 
-    def in_range(self, a: Point, b: Point) -> bool:
-        return distance(a, b) <= self._range + 1e-9
-
     def reception_probability(self, a: Point, b: Point) -> float:
         """Interference-free reception: the link budget against noise alone."""
         d = distance(a, b)

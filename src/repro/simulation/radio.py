@@ -30,9 +30,15 @@ class RadioModel(abc.ABC):
     #: :meth:`note_transmission`.
     interference_aware = False
 
-    @abc.abstractmethod
     def in_range(self, a: Point, b: Point) -> bool:
-        """True if a node at ``b`` can possibly hear a node at ``a``."""
+        """True if a node at ``b`` can possibly hear a node at ``a``.
+
+        The one disc test every radio shares: within :attr:`nominal_range`
+        plus 1e-9.  ``Network._neighbor_table`` inlines this arithmetic, so
+        radios do not override it; a radio hears less than the disc by
+        returning lower :meth:`reception_probability` values.
+        """
+        return math.hypot(a.x - b.x, a.y - b.y) <= self.nominal_range + 1e-9
 
     @abc.abstractmethod
     def reception_probability(self, a: Point, b: Point) -> float:
@@ -84,9 +90,6 @@ class UnitDiskRadio(RadioModel):
     @property
     def nominal_range(self) -> float:
         return self.range_m
-
-    def in_range(self, a: Point, b: Point) -> bool:
-        return math.hypot(a.x - b.x, a.y - b.y) <= self.range_m + 1e-9
 
     def reception_probability(self, a: Point, b: Point) -> float:
         return 1.0 if self.in_range(a, b) else 0.0
@@ -141,9 +144,6 @@ class LogDistanceRadio(RadioModel):
     @property
     def nominal_range(self) -> float:
         return self.range_m * self.max_fraction
-
-    def in_range(self, a: Point, b: Point) -> bool:
-        return distance(a, b) <= self.range_m * self.max_fraction + 1e-9
 
     def reception_probability(self, a: Point, b: Point) -> float:
         d = distance(a, b)

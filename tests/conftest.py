@@ -6,6 +6,7 @@ Also makes the test suite runnable straight from a source checkout (without
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -16,12 +17,14 @@ if _SRC not in sys.path:  # pragma: no cover - environment dependent
 import pytest
 
 from repro.geo.area import Area
+from repro.geo.geometry import distance
 from repro.geo.grid import VirtualCircleGrid
 from repro.mobility.static import StaticMobility
 from repro.simulation.mac import IdealMac
 from repro.simulation.network import Network, NetworkConfig
 from repro.simulation.node import MobileNode
-from repro.simulation.radio import UnitDiskRadio
+from repro.simulation.phy import SinrRadio
+from repro.simulation.radio import LogDistanceRadio, UnitDiskRadio
 
 
 @pytest.fixture
@@ -67,3 +70,20 @@ def make_static_network(
 def static_network_factory():
     """Factory fixture returning :func:`make_static_network`."""
     return make_static_network
+
+
+def literal_in_range(radio):
+    """``radio``'s disc test, written out per radio type.
+
+    Reference tests compare against this instead of ``radio.in_range``,
+    so they do not check the code against itself.  Each entry is the
+    arithmetic that radio type has always used; a newly registered radio
+    needs its own entry.
+    """
+    if type(radio) is UnitDiskRadio:
+        return lambda a, b: math.hypot(a.x - b.x, a.y - b.y) <= radio.range_m + 1e-9
+    if type(radio) is LogDistanceRadio:
+        return lambda a, b: distance(a, b) <= radio.range_m * radio.max_fraction + 1e-9
+    if type(radio) is SinrRadio:
+        return lambda a, b: distance(a, b) <= radio._range + 1e-9
+    raise KeyError(f"no literal disc test for {type(radio).__name__}")

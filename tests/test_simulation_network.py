@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.area import Area
-from repro.geo.geometry import Point, distance
+from repro.geo.geometry import Point
 from repro.geo.grid import SpatialHash
 from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.mobility.static import StaticMobility
@@ -17,7 +17,7 @@ from repro.simulation.node import MobileNode
 from repro.simulation.packet import Packet, PacketKind, data_packet
 from repro.simulation.radio import UnitDiskRadio
 
-from tests.conftest import make_static_network
+from tests.conftest import literal_in_range, make_static_network
 
 
 class RecordingAgent(ProtocolAgent):
@@ -271,6 +271,7 @@ class TestMobilityIntegration:
         )
         net.add_nodes(MobileNode(i) for i in ids)
         net.start()
+        in_range = literal_in_range(radio)
 
         def check():
             alive = [i for i in ids if net.node(i).alive]
@@ -284,7 +285,7 @@ class TestMobilityIntegration:
                     for other in alive
                     if node_id in alive
                     and other != node_id
-                    and radio.in_range(net.position_of(node_id), net.position_of(other))
+                    and in_range(net.position_of(node_id), net.position_of(other))
                 }
                 assert set(listed) == expected
                 # the list is the caller's own; the mapping is shared, read-only
@@ -308,14 +309,11 @@ class TestMobilityIntegration:
 
 def reference_neighbor_lists(net):
     """Neighbour lists as the table was built before candidates were listed
-    once per cell: one ``SpatialHash.candidates`` walk per node, and the
-    unit disk's ``in_range`` through ``geometry.distance``."""
+    once per cell: one ``SpatialHash.candidates`` walk per node, and each
+    radio's disc test written out literally (``literal_in_range``), not
+    the ``RadioModel.in_range`` arithmetic the table inlines."""
     radio = net.config.radio
-    if type(radio) is UnitDiskRadio:
-        def in_range(a, b):
-            return distance(a, b) <= radio.range_m + 1e-9
-    else:
-        in_range = radio.in_range
+    in_range = literal_in_range(radio)
     index = SpatialHash(radio.nominal_range)
     positions = {}
     for node_id, node in net.nodes.items():

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.experiments.scenarios import ScenarioConfig
 from repro.geo.geometry import Point, distance
+from repro.registry import RADIOS
 from repro.simulation.mac import IdealMac, SimpleCsmaMac
 from repro.simulation.packet import Packet, PacketKind, control_packet, data_packet
-from repro.simulation.radio import LogDistanceRadio, UnitDiskRadio
+from repro.simulation.radio import LogDistanceRadio, RadioModel, UnitDiskRadio
+from tests.conftest import literal_in_range
 
 
 class TestPacket:
@@ -131,6 +134,43 @@ class TestUnitDiskTransmitSeam:
             p = radio.reception_probability_during(0, sender, 1, receiver, 5.0, 5.1)
             assert p == radio.reception_probability(sender, receiver)
             assert p == reference_unit_disk_probability(radio, sender, receiver)
+
+
+class TestRadioInRangeContract:
+    """Every registered radio answers ``in_range`` with ``RadioModel``'s one
+    disc test, the arithmetic ``Network._neighbor_table`` inlines."""
+
+    @pytest.mark.parametrize("name", RADIOS.names())
+    def test_no_registered_radio_overrides_in_range(self, name):
+        radio = RADIOS.get(name)(None)
+        assert type(radio).in_range is RadioModel.in_range
+
+    @pytest.mark.parametrize("name", RADIOS.names())
+    @pytest.mark.parametrize("radio_range", [100.0, 250.0, 333.3])
+    def test_matches_the_literal_disc_at_its_edge(self, name, radio_range):
+        radio = RADIOS.get(name)(ScenarioConfig(radio=name, radio_range=radio_range))
+        literal = literal_in_range(radio)
+        r = radio.nominal_range
+        edge = r + 1e-9
+        distances = (
+            r,
+            r - 1e-9,
+            r + 1e-9,
+            math.nextafter(r, 0.0),
+            math.nextafter(r, math.inf),
+            math.nextafter(edge, 0.0),
+            math.nextafter(edge, math.inf),
+        )
+        seen = set()
+        for d in distances:
+            for a, b in (
+                (Point(0.0, 0.0), Point(d, 0.0)),
+                (Point(0.0, 0.0), Point(0.0, -d)),
+                (Point(d + 17.25, 3.5), Point(17.25, 3.5)),
+            ):
+                assert radio.in_range(a, b) == literal(a, b), (d, a, b)
+                seen.add(literal(a, b))
+        assert seen == {True, False}
 
 
 class TestLogDistanceRadio:
