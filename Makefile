@@ -71,36 +71,35 @@ phy-smoke:
 	$(PYTHON) -m pytest -q tests/test_phy_fingerprint.py
 	@echo "make phy-smoke: OK (3x3 radio/MAC grid, warm zero-exec replay, fingerprints match golden)"
 
-## the repo benchmark's correctness check as a gate: each perfbench
-## workload runs one operation and its last stdout line must report
-## "correct": true, i.e. the 200-node HVDB and flooding runs reproduce
-## their reference rows and the phy_smoke sweep its CSV digests
-## (perfbench/reference.json); then the two simulator workloads run once
-## more traced (--trace 1), and each must again be correct and leave
-## under PERF_UNATTRIBUTED_LIMIT of its traced time outside the named
-## layers (trace.unattributed_frac), so per-layer timings stay trustworthy
+## the repo benchmark as a gate: each perfbench workload runs one
+## operation, then the two simulator workloads run once more traced
+## (--trace 1), and scripts/perf_gate.py judges every output: each must
+## report "correct": true (the 200-node HVDB and flooding runs reproduce
+## their reference rows and the phy_smoke sweep its CSV digests,
+## perfbench/reference.json); each untraced run must hold its
+## workload's wall-time ceiling (wall_s about 10x the accepted median,
+## so only a catastrophic slowdown fails); and each traced run must
+## leave under 0.05 of its time outside the named layers
+## (trace.unattributed_frac), so per-layer timings stay trustworthy
 PERF_CHECK_DIR := .ci/perf-check
 PERF_CHECK_WORKLOADS := hvdb_200 flood_200 sweep_phy_smoke
 PERF_TRACE_WORKLOADS := hvdb_200 flood_200
-PERF_UNATTRIBUTED_LIMIT := 0.05
 perf-check:
 	rm -rf $(PERF_CHECK_DIR)
 	mkdir -p $(PERF_CHECK_DIR)
 	for w in $(PERF_CHECK_WORKLOADS); do \
 	  out=$(PERF_CHECK_DIR)/$$w.out; \
 	  $(PYTHON) perfbench/run.py --workload $$w --seconds 0 > $$out \
-	    && tail -n 1 $$out | $(PYTHON) -c \
-	      "import json, sys; sys.exit(json.loads(sys.stdin.read()).get('correct') is not True)" \
-	    || { cat $$out; echo "perf-check: $$w did not report \"correct\": true"; exit 1; }; \
+	    || { cat $$out; echo "perf-check: $$w failed"; exit 1; }; \
 	done
 	for w in $(PERF_TRACE_WORKLOADS); do \
 	  out=$(PERF_CHECK_DIR)/$$w.trace.out; \
 	  $(PYTHON) perfbench/run.py --workload $$w --seconds 0 --trace 1 > $$out \
-	    && tail -n 1 $$out | $(PYTHON) -c \
-	      "import json, sys; d = json.loads(sys.stdin.read()); frac = d.get('metrics', {}).get('trace.unattributed_frac', {}).get('value', 1.0); print(f'$$w trace.unattributed_frac = {frac:.2e}'); sys.exit(d.get('correct') is not True or not frac < $(PERF_UNATTRIBUTED_LIMIT))" \
-	    || { cat $$out; echo "perf-check: traced $$w was not \"correct\": true with trace.unattributed_frac < $(PERF_UNATTRIBUTED_LIMIT)"; exit 1; }; \
+	    || { cat $$out; echo "perf-check: traced $$w failed"; exit 1; }; \
 	done
-	@echo "make perf-check: OK ($(PERF_CHECK_WORKLOADS) match perfbench/reference.json; traced $(PERF_TRACE_WORKLOADS) attribute all but < $(PERF_UNATTRIBUTED_LIMIT) of their time)"
+	$(PYTHON) scripts/perf_gate.py $(PERF_CHECK_DIR)/*.out \
+	  || { tail -n +1 $(PERF_CHECK_DIR)/*.out; exit 1; }
+	@echo "make perf-check: OK ($(PERF_CHECK_WORKLOADS) match perfbench/reference.json under their wall-time ceilings; traced $(PERF_TRACE_WORKLOADS) attribute their time)"
 
 ## the paper's claims: every benchmarks/bench_*.py regenerates one table
 ## of the evaluation and asserts its claim (minutes).  The files are not
@@ -131,23 +130,21 @@ protocols:
 protocol-coverage:
 	$(PYTHON) -m repro.experiments protocols --check-coverage
 
-## everything a PR must keep green
+## everything a PR must keep green: tier-1, the smoke gates, the
+## benchmark's correctness and wall-time gate, docs and coverage
 check: test bench-smoke adaptive-smoke net-smoke store-smoke phy-smoke perf-check docs-check protocol-coverage
 
 ## reproduce the CI pipeline (.github/workflows/ci.yml) locally:
 ## tier-1 tests, docs consistency (links included), the smoke sweep
 ## split across three share-nothing shards, a merge that must
-## reassemble the full grid, a wall-time diff against the committed
-## baseline (loose tolerance across machines) plus a strict gate on a
-## synthetic 2x regression, the adaptive smoke sweep (run + a
+## reassemble the full grid, the adaptive smoke sweep (run + a
 ## warm-cache re-run that must execute zero runs), the tcp-executor
 ## churn drill (a --connect worker SIGKILLed mid-sweep,
 ## byte-identical artifacts anyway), the result-store smoke (sqlite vs
 ## json byte-equality + migrate), the physical-layer smoke (3x3
 ## radio/MAC grid, warm zero-exec replay, golden fingerprints), the
-## benchmark's correctness check (every perfbench workload reproduces
-## its reference), the paper's claims (make bench), and a perf-trend
-## append judged against the trailing window
+## benchmark gate (every perfbench workload reproduces its reference
+## under its wall-time ceiling) and the paper's claims (make bench)
 CI_DIR := .ci
 ci: test docs-check protocol-coverage
 	rm -rf $(CI_DIR)
@@ -158,18 +155,6 @@ ci: test docs-check protocol-coverage
 	$(PYTHON) -m repro.experiments merge smoke --cache-dir $(CI_DIR)/merged \
 	  --from $(CI_DIR)/shard1 --from $(CI_DIR)/shard2 --from $(CI_DIR)/shard3 \
 	  --out $(CI_DIR)/artifacts
-	$(PYTHON) -m repro.experiments perf smoke \
-	  --baseline benchmarks/baselines/BENCH_smoke.json \
-	  --current $(CI_DIR)/artifacts/smoke.json \
-	  --tolerance 10 --report $(CI_DIR)/perf-report.json
-	$(PYTHON) -c "import json; doc = json.load(open('$(CI_DIR)/artifacts/smoke.json')); \
-	  [r.__setitem__('wall_time', r['wall_time'] * 2.0) for r in doc['results']]; \
-	  json.dump(doc, open('$(CI_DIR)/artifacts/smoke-2x.json', 'w'))"
-	$(PYTHON) -m repro.experiments perf smoke \
-	  --baseline $(CI_DIR)/artifacts/smoke.json \
-	  --current $(CI_DIR)/artifacts/smoke-2x.json --tolerance 0.5; \
-	  status=$$?; if [ $$status -ne 1 ]; then \
-	    echo "perf gate: expected exit 1 (regression) on the synthetic 2x slowdown, got $$status"; exit 1; fi
 	$(PYTHON) -m repro.experiments run smoke_adaptive \
 	  --cache-dir $(CI_DIR)/adaptive --format none
 	$(PYTHON) -m repro.experiments run smoke_adaptive \
@@ -181,7 +166,4 @@ ci: test docs-check protocol-coverage
 	$(MAKE) phy-smoke
 	$(MAKE) perf-check
 	$(MAKE) bench
-	$(PYTHON) -m repro.experiments perf smoke \
-	  --current $(CI_DIR)/artifacts/smoke.json \
-	  --trend $(CI_DIR)/trend.jsonl --tolerance 10
-	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, perf, adaptive, net, store, phy, perf-check, paper claims, trend)"
+	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, adaptive, net, store, phy, perf-check, paper claims)"

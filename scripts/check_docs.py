@@ -56,7 +56,7 @@ REQUIRED_DOCS = (
 )
 
 #: subcommands that take a sweep name as their first positional argument
-SWEEP_TAKING = ("run", "resume", "export", "merge", "perf")
+SWEEP_TAKING = ("run", "resume", "export", "merge")
 
 
 def error(message: str) -> None:

@@ -4,7 +4,7 @@ Synthesizes a few hundred cached runs (fabricated ``RunResult`` records
 keyed by the real cache keys of an inflated smoke grid -- no simulation
 executed), writes them through both backends, and times one batched
 ``scan`` over every key from each (the store-layer call warm replays,
-``merge`` and ``perf`` sit on).  The point of the sqlite backend is
+``merge`` and ``export`` sit on).  The point of the sqlite backend is
 that a full scan is one file open + a few batched ``IN`` queries
 instead of N ``open()``/``json.load`` calls, so the ratio should
 comfortably favour sqlite as N grows; machines and filesystems vary too

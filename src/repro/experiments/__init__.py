@@ -39,15 +39,9 @@
   executor, the store never enters cache keys, so artifacts are
   byte-identical across backends and caches migrate freely
   (:func:`merge_caches`).
-* :mod:`repro.experiments.perf` -- wall-time perf-regression tracking:
-  compare the per-run wall times of two result sets (result stores,
-  exported artifacts, or cache generations) point by point, and append
-  per-point medians to a JSONL *trend* history judged against the
-  trailing median of the last few entries (:func:`check_trend`).
 * ``python -m repro.experiments`` -- CLI over the registry:
   ``list`` / ``run`` / ``resume`` / ``export`` / ``merge`` /
-  ``migrate`` / ``perf`` /
-  ``protocols`` (registered components + spec-coverage check) /
+  ``migrate`` / ``protocols`` (registered components + spec-coverage check) /
   ``executors`` (registered backends) / ``stores`` (registered result
   stores) / ``worker`` (attach to a tcp coordinator with
   ``--connect``), with ``--shard I/N`` splitting a grid across
@@ -83,7 +77,7 @@ from repro.experiments.scenarios import (
     config_axis_names,
     PROTOCOLS,
 )
-from repro.experiments.runner import run_scenario, sweep, ExperimentResult, results_table
+from repro.experiments.runner import run_scenario, ExperimentResult, results_table
 from repro.experiments.executors import (
     DEFAULT_EXECUTOR,
     EXECUTORS,
@@ -146,22 +140,6 @@ from repro.registry import (
     register_radio,
 )
 from repro.simulation.stack import AgentStack, ProtocolStack
-from repro.experiments.perf import (
-    DEFAULT_TREND_WINDOW,
-    PerfReport,
-    PointComparison,
-    TrendEntry,
-    TrendPoint,
-    TrendReport,
-    append_trend,
-    check_trend,
-    compare_wall_times,
-    load_results,
-    load_trend,
-    mann_whitney_p,
-    trend_entry,
-    wall_time_groups,
-)
 from repro.experiments.stores import (
     DEFAULT_STORE,
     STORES,
@@ -191,7 +169,6 @@ __all__ = [
     "ProtocolStack",
     "AgentStack",
     "run_scenario",
-    "sweep",
     "ExperimentResult",
     "results_table",
     "SweepSpec",
@@ -233,20 +210,6 @@ __all__ = [
     "merge_caches",
     "validate_runs",
     "load_cached_results",
-    "PerfReport",
-    "PointComparison",
-    "compare_wall_times",
-    "load_results",
-    "mann_whitney_p",
-    "wall_time_groups",
-    "DEFAULT_TREND_WINDOW",
-    "TrendEntry",
-    "TrendPoint",
-    "TrendReport",
-    "trend_entry",
-    "append_trend",
-    "load_trend",
-    "check_trend",
     "DEFAULT_STORE",
     "STORES",
     "ResultStore",

@@ -12,8 +12,6 @@
     python -m repro.experiments export SWEEP --out DIR [...]
     python -m repro.experiments merge SWEEP --cache-dir DEST --from DIR ...
     python -m repro.experiments migrate --from SPEC --to SPEC
-    python -m repro.experiments perf SWEEP --baseline PATH --current PATH
-    python -m repro.experiments perf SWEEP --current PATH --trend FILE
 
 ``run`` executes a registered sweep (see ``list``) through a registered
 *executor backend* (see ``executors``: in-process ``serial``, the
@@ -50,16 +48,7 @@ policy from the command line.
 slice of the grid (of the *grid points* when adaptive, so one point's
 growing seed set never splits across jobs), so N CI jobs sharing nothing
 but their cache directories cover the sweep exactly once; ``merge`` then
-folds the shard caches together and exports the full artifact set, and
-``perf`` diffs the per-run wall times of two result sets (stores,
-exported JSON artifacts, or cache generations) and exits non-zero on a
-regression.  ``perf --trend FILE`` additionally appends the current
-per-point medians to a JSONL trend history and judges them against the
-trailing median of the last ``--trend-window`` entries -- the gate as a
-trajectory instead of a single frozen baseline; ``--accept`` blesses a
-deliberate slowdown (resetting the trend reference and, with
-``--baseline``, rewriting the baseline artifact from the current
-results).
+folds the shard caches together and exports the full artifact set.
 
 ``protocols`` lists every registered pluggable component (protocol
 stacks, radios, MACs, mobility models) and, with ``--check-coverage``,
@@ -71,7 +60,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -100,24 +88,11 @@ from repro.experiments.orchestrator import (
     run_sweep_adaptive,
     summarize,
 )
-from repro.experiments.perf import (
-    DEFAULT_TOLERANCE,
-    DEFAULT_TREND_WINDOW,
-    PerfReport,
-    TrendReport,
-    append_trend,
-    check_trend,
-    compare_wall_times,
-    load_results,
-    load_trend,
-    trend_entry,
-)
 from repro.experiments.specs import available_specs, get_spec
 from repro.experiments.stores import (
     DEFAULT_STORE,
     StoreError,
     available_stores,
-    parse_store_spec,
     store_exists,
 )
 from repro.metrics.collectors import format_table
@@ -172,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="NAME",
             help="result-store backend for --cache-dir (see `stores`); "
-            f"default: the spec's, else the path's prefix, else {DEFAULT_STORE!r}",
+            f"default: the path's prefix, else {DEFAULT_STORE!r}",
         )
         p.add_argument(
             "--out",
@@ -235,10 +210,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--executor",
-            default=None,
+            default=DEFAULT_EXECUTOR,
             metavar="NAME",
-            help="run-execution backend (see `executors`); default: the "
-            f"spec's, else {DEFAULT_EXECUTOR!r}",
+            help="run-execution backend (see `executors`; "
+            f"default: {DEFAULT_EXECUTOR})",
         )
         p.add_argument(
             "--host",
@@ -363,119 +338,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "without --progress)",
     )
 
-    p = sub.add_parser(
-        "perf",
-        help="diff per-run wall times against a baseline and/or a JSONL "
-        "trend history; exit non-zero on a regression beyond the tolerance",
-    )
-    p.add_argument("sweep", help="registered sweep name (see `list`)")
-    p.add_argument(
-        "--baseline",
-        default=None,
-        help="reference wall times: a results JSON artifact, a cache "
-        "directory or a store spec (at least one of --baseline/--trend "
-        "is required)",
-    )
-    p.add_argument(
-        "--current",
-        required=True,
-        help="candidate wall times: a results JSON artifact, a cache "
-        "directory or a store spec",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help="allowed fractional slowdown of a grid point's median wall time "
-        f"before it counts as a regression (default: {DEFAULT_TOLERANCE})",
-    )
-    p.add_argument(
-        "--store",
-        default=None,
-        metavar="NAME",
-        help="result-store backend for cache paths (see `stores`); also "
-        "recorded in appended trend entries",
-    )
-    p.add_argument(
-        "--executor",
-        default=None,
-        metavar="NAME",
-        help="measurement context recorded in appended trend entries "
-        "(which executor produced the current wall times)",
-    )
-    p.add_argument(
-        "--trend",
-        default=None,
-        metavar="FILE",
-        help="append the current per-point median wall times to this JSONL "
-        "trend history and check them against the trailing median of the "
-        "last --trend-window entries",
-    )
-    p.add_argument(
-        "--trend-window",
-        type=int,
-        default=DEFAULT_TREND_WINDOW,
-        metavar="K",
-        help="trailing trend entries the regression check medians over "
-        f"(default: {DEFAULT_TREND_WINDOW})",
-    )
-    p.add_argument(
-        "--accept",
-        action="store_true",
-        help="bless the current wall times: the appended trend entry is "
-        "marked accepted (resetting the trend reference window) and, with "
-        "--baseline pointing at a JSON artifact, the artifact is rewritten "
-        "from the current results; regressions then exit 0",
-    )
-    p.add_argument(
-        "--baseline-cache-version",
-        type=int,
-        default=None,
-        help="read the baseline cache directory at this CACHE_VERSION generation",
-    )
-    p.add_argument(
-        "--current-cache-version",
-        type=int,
-        default=None,
-        help="read the current cache directory at this CACHE_VERSION generation",
-    )
-    p.add_argument(
-        "--report",
-        default=None,
-        metavar="PATH",
-        help="also write the comparison as a JSON report (for CI consumption)",
-    )
-    p.add_argument(
-        "--seeds",
-        default=None,
-        help="comma-separated replication seeds overriding the spec's "
-        "(must match the seeds the caches were produced with)",
-    )
-    p.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="simulated seconds per run, overriding the spec's",
-    )
     return parser
 
 
 class CliError(Exception):
     """A user-input problem reported as a clean message, not a traceback."""
-
-
-def _store_path(path: str, store: Optional[str]) -> str:
-    """Apply ``--store`` to a bare cache path (an embedded prefix wins)."""
-    if store and parse_store_spec(path)[0] is None:
-        return f"{store}:{path}"
-    return path
-
-
-def _result_source_exists(path: str, store: Optional[str]) -> bool:
-    """True if ``path`` -- store spec, cache dir or JSON artifact -- exists."""
-    if store or parse_store_spec(path)[0] is not None:
-        return store_exists(path, store=store)
-    return os.path.exists(path)
 
 
 def _customize(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec:
@@ -739,9 +606,8 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
     spec = _customize(get_spec(args.sweep), args)
     cache_dir: Optional[str] = None if args.no_cache else args.cache_dir
-    store = args.store or spec.store
     if require_cache and (
-        cache_dir is None or not store_exists(cache_dir, store=store)
+        cache_dir is None or not store_exists(cache_dir, store=args.store)
     ):
         print(
             f"resume: no cache at {args.cache_dir!r} -- use `run` to start this sweep",
@@ -752,9 +618,8 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
     # only the tcp backend takes options; run_sweep resolves the name
     # eagerly (RegistryError with alternatives) before any state is
     # touched
-    executor = args.executor or spec.executor or DEFAULT_EXECUTOR
     executor_options = {}
-    if executor == "tcp":
+    if args.executor == "tcp":
         # the tcp coordinator streams results back to this process; the
         # result store stays driver-local and never crosses the wire
         executor_options["host"] = args.host
@@ -770,7 +635,7 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
             progress=True,
             shard=shard,
             policy=policy,
-            executor=executor,
+            executor=args.executor,
             executor_options=executor_options,
             store=args.store,
         )
@@ -783,7 +648,7 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
             force=args.force,
             progress=True,
             shard=shard,
-            executor=executor,
+            executor=args.executor,
             executor_options=executor_options,
             store=args.store,
         )
@@ -802,7 +667,7 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     spec = _customize(get_spec(args.sweep), args)
-    if not store_exists(args.cache_dir, store=args.store or spec.store):
+    if not store_exists(args.cache_dir, store=args.store):
         print(f"export: no result store at {args.cache_dir!r}", file=sys.stderr)
         return 2
     policy = _adaptive_policy(spec, args)
@@ -849,7 +714,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             f"merge: folded {len(args.sources)} shard cache(s) into "
             f"{args.cache_dir}: {copied} new entries, {skipped} already present"
         )
-    if not store_exists(args.cache_dir, store=args.store or spec.store):
+    if not store_exists(args.cache_dir, store=args.store):
         print(
             f"merge: no result store at {args.cache_dir!r} "
             "(use --from to fold shard caches into it)",
@@ -888,155 +753,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    spec = _customize(get_spec(args.sweep), args)
-    if args.baseline is None and args.trend is None:
-        raise CliError(
-            "nothing to compare against: pass --baseline PATH (two-point "
-            "diff) and/or --trend FILE (trajectory check)"
-        )
-    if args.accept and args.baseline is not None:
-        if parse_store_spec(args.baseline)[0] is not None or os.path.isdir(
-            args.baseline
-        ):
-            raise CliError(
-                "--accept rewrites a results JSON artifact; "
-                f"--baseline {args.baseline!r} is a result store"
-            )
-    sides = [("current", args.current)]
-    if args.baseline is not None:
-        sides.insert(0, ("baseline", args.baseline))
-    for side, path in sides:
-        if not _result_source_exists(path, args.store):
-            print(f"perf: {side} {path!r} does not exist", file=sys.stderr)
-            return 2
-    current = load_results(
-        _store_path(args.current, args.store),
-        spec,
-        cache_version=args.current_cache_version,
-    )
-    if not current:
-        print(
-            f"perf: current {args.current!r} holds no results for sweep "
-            f"{spec.name!r}",
-            file=sys.stderr,
-        )
-        return 2
-
-    exit_code = 0
-    report: Optional[PerfReport] = None
-    if args.baseline is not None:
-        baseline = load_results(
-            _store_path(args.baseline, args.store),
-            spec,
-            cache_version=args.baseline_cache_version,
-        )
-        if not baseline:
-            print(
-                f"perf: baseline {args.baseline!r} holds no results for "
-                f"sweep {spec.name!r}",
-                file=sys.stderr,
-            )
-            return 2
-        report = compare_wall_times(
-            baseline, current, tolerance=args.tolerance, sweep=spec.name
-        )
-        _print_perf(report)
-        if report.regressed:
-            exit_code = 1
-        else:
-            # grid points present in the baseline but absent from the
-            # current set mean the comparison is incomplete (partial
-            # merge, changed grid) -- that must not pass a CI gate as "no
-            # regression".  Points only in the current set
-            # (missing-baseline) are informational: new grid points
-            # simply have no reference trajectory yet.
-            missing_current = [
-                p for p in report.points if p.status == "missing-current"
-            ]
-            if missing_current:
-                print(
-                    f"perf: {len(missing_current)} grid point(s) have no "
-                    f"current results (first: {missing_current[0].point}); "
-                    "the comparison is incomplete",
-                    file=sys.stderr,
-                )
-                exit_code = 2
-
-    trend_report: Optional[TrendReport] = None
-    if args.trend is not None:
-        entry = trend_entry(
-            spec.name,
-            current,
-            store=args.store or parse_store_spec(args.current)[0] or "",
-            executor=args.executor or "",
-            accepted=args.accept,
-        )
-        append_trend(args.trend, entry)
-        print(f"perf: appended trend entry for {entry.commit[:12] or '(no commit)'} to {args.trend}")
-        trend_report = check_trend(
-            load_trend(args.trend, sweep=spec.name),
-            tolerance=args.tolerance,
-            window=args.trend_window,
-        )
-        _print_trend(trend_report)
-        if trend_report.regressed and exit_code == 0:
-            exit_code = 1
-
-    if args.report:
-        document = {
-            key: value.to_dict()
-            for key, value in (("comparison", report), ("trend", trend_report))
-            if value is not None
-        }
-        os.makedirs(os.path.dirname(args.report) or ".", exist_ok=True)
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(
-                document["comparison"] if list(document) == ["comparison"] else document,
-                fh,
-                indent=2,
-            )
-        print(f"wrote {args.report}")
-
-    if args.accept:
-        if args.baseline is not None:
-            export_json(current, args.baseline, spec=spec)
-            print(f"perf: accepted -- refreshed baseline {args.baseline}")
-        return 0
-    return exit_code
-
-
-def _print_trend(report: TrendReport) -> None:
-    rows = []
-    for point in report.points:
-        curve = " -> ".join(f"{v:g}" for v in point.curve[-5:])
-        rows.append(
-            {
-                "grid_point": point.point,
-                "trailing_s": (
-                    f"{point.trailing_median:g} (n={point.history_n})"
-                    if point.history_n
-                    else "-"
-                ),
-                "current_s": f"{point.current_median:g}",
-                "ratio": f"{point.ratio:g}" if point.ratio else "-",
-                "curve": curve,
-                "status": point.status,
-            }
-        )
-    print(
-        format_table(
-            rows,
-            title=f"{report.sweep}: wall-time trend vs trailing median of "
-            f"{report.entries} entr{'y' if report.entries == 1 else 'ies'} "
-            f"(window {report.window}, tolerance {report.tolerance:g})",
-        )
-    )
-    counts = ", ".join(f"{n} {status}" for status, n in sorted(report.counts().items()))
-    verdict = "REGRESSED" if report.regressed else "ok"
-    print(f"perf trend: {verdict} ({counts or 'no grid points'})")
-
-
 def _cmd_migrate(args: argparse.Namespace) -> int:
     copied, skipped = merge_caches(args.sources, args.dest, store=args.store)
     print(
@@ -1044,31 +760,6 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
         f"{skipped} already present"
     )
     return 0
-
-
-def _print_perf(report: PerfReport) -> None:
-    rows = []
-    for point in report.points:
-        rows.append(
-            {
-                "grid_point": point.point,
-                "baseline_s": f"{point.baseline_median:g} (n={point.baseline_n})",
-                "current_s": f"{point.current_median:g} (n={point.current_n})",
-                "ratio": f"{point.ratio:g}" if point.ratio else "-",
-                "p": f"{point.p_value:g}" if point.p_value is not None else "-",
-                "status": point.status,
-            }
-        )
-    print(
-        format_table(
-            rows,
-            title=f"{report.sweep}: wall-time comparison "
-            f"(tolerance {report.tolerance:g})",
-        )
-    )
-    counts = ", ".join(f"{n} {status}" for status, n in sorted(report.counts().items()))
-    verdict = "REGRESSED" if report.regressed else "ok"
-    print(f"perf: {verdict} ({counts or 'no grid points'})")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1094,8 +785,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_merge(args)
         if args.command == "migrate":
             return _cmd_migrate(args)
-        if args.command == "perf":
-            return _cmd_perf(args)
     except (CliError, SpecError, StoreError, RegistryError, NetWorkerError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -44,7 +44,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.experiments.leases import ExecutorStats
 from repro.registry import Registry
 
-#: executor-backend factories; ``SweepSpec.executor`` / ``--executor``
+#: executor-backend factories; ``run_sweep(executor=)`` / ``--executor``
 #: resolve here.  Bootstraps this module (the built-ins), the networked
 #: backend (the ``tcp`` coordinator) and the specs module (the one
 #: module spawn-platform workers re-import), mirroring the component

@@ -286,7 +286,7 @@ class RunSpec:
     before_run: Optional[str] = None  #: registered hook, called before start
     during_run: Optional[str] = None  #: registered hook, called mid-run
 
-    def cache_key(self, version: Optional[int] = None) -> str:
+    def cache_key(self) -> str:
         """Content hash identifying this run's outcome.
 
         Covers every input that determines the result: the complete
@@ -301,15 +301,9 @@ class RunSpec:
         keys survived the sections' introduction unchanged.  The sweep
         name and cosmetic run id are deliberately excluded, so identical
         runs reached through different sweeps share cache entries.
-        ``version`` overrides :data:`CACHE_VERSION`, which lets perf
-        tracking address an older cache generation in the same directory
-        -- provided the config *shape* has not changed between
-        generations (generation 1 predates the nested per-protocol
-        sections, so its entries are unreachable from this code
-        regardless of ``version``).
         """
         payload = {
-            "version": CACHE_VERSION if version is None else version,
+            "version": CACHE_VERSION,
             "config": canonical_config(self.config),
             "duration": self.duration,
             "collector": self.collector,
@@ -372,19 +366,6 @@ class SweepSpec:
     the fixed-seed view :func:`expand_spec` exposes to tooling that needs
     a static universe); :func:`run_sweep_adaptive` grows each grid
     point's seed set at runtime until the policy's CI target is met.
-
-    ``executor`` optionally names a registered execution backend
-    (:mod:`repro.experiments.executors`; ``None`` means the default
-    ``process`` pool).  Like every executor choice it is validated
-    eagerly and excluded from cache keys -- results are byte-identical
-    across backends.
-
-    ``store`` optionally names a registered result-store backend
-    (:mod:`repro.experiments.stores`; ``None`` means the default
-    ``json`` directory layout, or whatever backend the cache path's
-    ``name:`` prefix selects).  Like the executor, the store is
-    sweep-cosmetic: excluded from cache keys, byte-identical artifacts
-    across backends.
     """
 
     name: str
@@ -397,8 +378,6 @@ class SweepSpec:
     before_run: Optional[str] = None
     during_run: Optional[str] = None
     replication: Optional[AdaptiveCI] = None
-    executor: Optional[str] = None
-    store: Optional[str] = None
 
     @property
     def run_count(self) -> int:
@@ -582,7 +561,7 @@ def expand_spec(spec: SweepSpec) -> List[RunSpec]:
     Point-major: all seeds of the first grid point, then the next point
     (see :func:`expand_points` for the axis semantics).  An explicit
     ``"seed"`` axis replaces the replication-seed loop for its point, so
-    sweeping the seed itself (``sweep(parameter="seed")``) works without
+    sweeping the seed itself (``grid={"seed": [...]}``) works without
     colliding with ``spec.seeds``.
     """
     runs: List[RunSpec] = []
@@ -735,7 +714,6 @@ def validate_runs(runs: Sequence[RunSpec]) -> None:
 def load_cached_results(
     spec: SweepSpec,
     cache_dir: str,
-    version: Optional[int] = None,
     shard: Optional[Tuple[int, int]] = None,
     store: Optional[str] = None,
     store_options: Optional[Mapping[str, Any]] = None,
@@ -747,17 +725,13 @@ def load_cached_results(
     plus the run ids of every cache miss.  ``cache_dir`` is a bare path
     or a store spec (``"sqlite:runs.db"``); the whole expansion resolves
     through one batch :meth:`~repro.experiments.stores.ResultStore.scan`.
-    ``version`` addresses an older :data:`CACHE_VERSION` generation;
     ``shard`` restricts the expansion to one shard.
     """
-    cache = _open_cache(cache_dir, spec, store, store_options)
+    cache = _open_cache(cache_dir, store, store_options)
     runs = expand_spec(spec)
     if shard is not None:
         runs = shard_runs(runs, *shard)
-    keyed = [
-        (index, run, run.cache_key(version=version))
-        for index, run in enumerate(runs)
-    ]
+    keyed = [(index, run, run.cache_key()) for index, run in enumerate(runs)]
     hits = _resolve_cached(cache, keyed)
     results: List[RunResult] = []
     missing: List[str] = []
@@ -786,7 +760,6 @@ def _restamp(result: RunResult, run: RunSpec, adaptive_round: int = 0) -> None:
 
 def _open_cache(
     cache_dir: Optional[Any],
-    spec: Optional[SweepSpec] = None,
     store: Optional[str] = None,
     store_options: Optional[Mapping[str, Any]] = None,
 ) -> Optional[ResultStore]:
@@ -794,13 +767,12 @@ def _open_cache(
 
     ``cache_dir`` is a bare path, a store spec (``"sqlite:runs.db"``) or
     an already-open :class:`~repro.experiments.stores.ResultStore`.  An
-    explicit ``store`` wins over ``spec.store``, which wins over the
-    path's ``name:`` prefix, which wins over the ``json`` default.
+    explicit ``store`` wins over the path's ``name:`` prefix, which wins
+    over the ``json`` default.
     """
     if cache_dir is None:
         return None
-    name = store or (spec.store if spec is not None else None)
-    return make_store(cache_dir, store=name, **dict(store_options or {}))
+    return make_store(cache_dir, store=store, **dict(store_options or {}))
 
 
 def _resolve_cached(
@@ -1043,10 +1015,10 @@ def run_sweep(
 ) -> List[RunResult]:
     """Execute every run of ``spec`` and return results in expansion order.
 
-    ``executor`` names the registered execution backend (overriding
-    ``spec.executor``; default ``process``), resolved eagerly -- an
-    unknown name raises :class:`~repro.registry.RegistryError` listing
-    the alternatives before anything executes.  ``executor_options`` are
+    ``executor`` names the registered execution backend (default
+    ``process``), resolved eagerly -- an unknown name raises
+    :class:`~repro.registry.RegistryError` listing the alternatives
+    before anything executes.  ``executor_options`` are
     backend keyword arguments (the ``tcp`` backend takes ``host``/``port``
     etc.).  ``workers`` is the backend's parallelism: pool size for
     ``process``, locally spawned worker processes for ``tcp`` (0 =
@@ -1061,9 +1033,9 @@ def run_sweep(
     spec and seed.  ``cache_dir`` is a bare path (the ``json`` backend),
     a store spec like ``"sqlite:runs.db"``, or an open
     :class:`~repro.experiments.stores.ResultStore`; ``store`` names the
-    backend explicitly (overriding ``spec.store``) and ``store_options``
-    are backend keyword arguments.  Like the executor, the store never
-    enters cache keys or artifacts.
+    backend explicitly and ``store_options`` are backend keyword
+    arguments.  Like the executor, the store never enters cache keys or
+    artifacts.
 
     ``shard=(index, count)`` executes only that 1-based shard of the
     expansion (see :func:`shard_runs`): ``count`` jobs sharing nothing but
@@ -1077,9 +1049,9 @@ def run_sweep(
         runs = shard_runs(runs, *shard)
         label = f"{spec.name} shard {shard[0]}/{shard[1]}"
     validate_runs(runs)
-    backend = make_executor(executor or spec.executor, **dict(executor_options or {}))
+    backend = make_executor(executor, **dict(executor_options or {}))
     try:
-        cache = _open_cache(cache_dir, spec, store, store_options)
+        cache = _open_cache(cache_dir, store, store_options)
 
         results: Dict[int, RunResult] = {}
         pending: List[tuple] = []          # (index, RunSpec)
@@ -1244,7 +1216,6 @@ def _adaptive_sweep(
     progress: bool,
     shard: Optional[Tuple[int, int]],
     cache_only: bool,
-    version: Optional[int],
     backend: Optional[Executor] = None,
 ) -> Tuple[AdaptiveResult, List[str]]:
     """The sequential-sampling loop shared by live runs and cache replay.
@@ -1312,9 +1283,7 @@ def _adaptive_sweep(
         staged: Dict[Tuple[int, int], RunResult] = {}
         pending: List[Tuple[Tuple[int, int], RunSpec]] = []
         incomplete = set()
-        keyed = [
-            (key, run, run.cache_key(version=version)) for key, run in scheduled
-        ]
+        keyed = [(key, run, run.cache_key()) for key, run in scheduled]
         hits = (
             _resolve_cached(cache, keyed)
             if cache is not None and not force
@@ -1488,9 +1457,9 @@ def run_sweep_adaptive(
             f"sweep {spec.name!r} has no adaptive replication policy: attach "
             "SweepSpec(replication=AdaptiveCI(...)) or pass policy="
         )
-    backend = make_executor(executor or spec.executor, **dict(executor_options or {}))
+    backend = make_executor(executor, **dict(executor_options or {}))
     try:
-        cache = _open_cache(cache_dir, spec, store, store_options)
+        cache = _open_cache(cache_dir, store, store_options)
         report, _missing = _adaptive_sweep(
             spec,
             policy,
@@ -1500,7 +1469,6 @@ def run_sweep_adaptive(
             progress=progress,
             shard=shard,
             cache_only=False,
-            version=None,
             backend=backend,
         )
     finally:
@@ -1511,7 +1479,6 @@ def run_sweep_adaptive(
 def load_adaptive_results(
     spec: SweepSpec,
     cache_dir: str,
-    version: Optional[int] = None,
     shard: Optional[Tuple[int, int]] = None,
     policy: Optional[AdaptiveCI] = None,
     store: Optional[str] = None,
@@ -1538,12 +1505,11 @@ def load_adaptive_results(
         spec,
         policy,
         workers=1,
-        cache=_open_cache(cache_dir, spec, store, store_options),
+        cache=_open_cache(cache_dir, store, store_options),
         force=False,
         progress=False,
         shard=shard,
         cache_only=True,
-        version=version,
     )
 
 

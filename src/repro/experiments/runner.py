@@ -8,20 +8,13 @@ worker; use it directly when an experiment needs imperative control --
 for grids of runs, declare a
 :class:`~repro.experiments.orchestrator.SweepSpec` and call
 :func:`~repro.experiments.orchestrator.run_sweep` instead.
-
-:func:`sweep` is the small in-process convenience wrapper for a
-single-axis sweep where the caller wants the live scenario of every run;
-it shares the orchestrator's grid expansion (and therefore its ordering
-and seeding rules) but never leaves the current process.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Optional
 
-from repro.experiments.orchestrator import SweepSpec, expand_spec
 from repro.experiments.scenarios import BuiltScenario, ScenarioConfig, build_scenario
 from repro.metrics.collectors import MetricsReport, collect_metrics, format_table
 
@@ -75,41 +68,6 @@ def run_scenario(
     return ExperimentResult(config=config, report=report, scenario=scenario)
 
 
-def sweep(
-    base_config: ScenarioConfig,
-    parameter: str,
-    values: Sequence[Any],
-    duration: float = 120.0,
-    extra_overrides: Optional[Dict[str, Any]] = None,
-) -> List[ExperimentResult]:
-    """Run the base scenario once per value of ``parameter``, in-process.
-
-    ``parameter`` must be a field of :class:`ScenarioConfig` (dotted
-    section axes like ``"hvdb.dimension"`` included); the swept value is
-    also attached to each result row under the parameter name.  The value
-    grid is expanded by the orchestrator (one axis, one seed), so ordering
-    and per-run seeding match a parallel
-    :func:`~repro.experiments.orchestrator.run_sweep` of the same grid;
-    unlike ``run_sweep``, every returned result keeps its live scenario.
-    """
-    base = (
-        dataclasses.replace(base_config, **extra_overrides)
-        if extra_overrides
-        else base_config
-    )
-    spec = SweepSpec(
-        name="sweep",
-        base=base,
-        grid={parameter: list(values)},
-        seeds=(base.seed,),
-        duration=duration,
-    )
-    results: List[ExperimentResult] = []
-    for run in expand_spec(spec):
-        results.append(run_scenario(run.config, duration=run.duration))
-    return results
-
-
 def _config_value(config: ScenarioConfig, name: str) -> Any:
     """Read a plain or dotted (``section.field``) config attribute."""
     value: Any = config
@@ -126,7 +84,7 @@ def results_table(
     """Format a list of results as an aligned table (one row per run).
 
     ``swept`` may be a dotted section axis (``"hvdb.dimension"``), same
-    as :func:`sweep`'s ``parameter``.
+    as a :class:`~repro.experiments.orchestrator.SweepSpec` grid axis.
     """
     rows = []
     for result in results:

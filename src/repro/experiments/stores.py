@@ -49,7 +49,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.registry import Registry
 
-#: result-store factories; ``SweepSpec.store`` / ``--store`` / store-spec
+#: result-store factories; ``run_sweep(store=)`` / ``--store`` / store-spec
 #: prefixes resolve here.  Bootstraps this module (the built-ins) plus
 #: the specs module, mirroring the executor registry.
 STORES = Registry(

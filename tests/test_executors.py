@@ -74,17 +74,6 @@ class TestExecutorRegistry:
             run_sweep(tiny_spec(seeds=(1,)), cache_dir=str(cache_dir), executor="warp")
         assert not cache_dir.exists()
 
-    def test_spec_level_executor_field(self):
-        results = run_sweep(tiny_spec(seeds=(1,), executor="serial"))
-        assert len(results) == 2
-        with pytest.raises(RegistryError, match="warp"):
-            run_sweep(tiny_spec(seeds=(1,), executor="warp"))
-
-    def test_call_site_overrides_spec_field(self):
-        # the kwarg wins, so a broken spec default can be overridden
-        results = run_sweep(tiny_spec(seeds=(1,), executor="warp"), executor="serial")
-        assert len(results) == 2
-
 
 class TestBackendEquivalence:
     def test_all_backends_byte_identical_artifacts(self, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 
 from repro.baselines.flooding import FLOODING_PROTOCOL, FloodingStack
 from repro.core.protocol import HVDB_PROTOCOL, HVDBConfig, HVDBStack
-from repro.experiments.runner import results_table, run_scenario, sweep
+from repro.experiments.orchestrator import SweepSpec, expand_spec
+from repro.experiments.runner import results_table, run_scenario
 from repro.experiments.scenarios import PROTOCOLS, ScenarioConfig, build_scenario
 from repro.simulation.stack import ProtocolStack
 
@@ -112,34 +113,30 @@ class TestRunner:
         assert row["protocol"] == FLOODING_PROTOCOL
 
 
+def run_grid(axis, values, duration):
+    """Run one flooding scenario per value of ``axis``, in-process."""
+    base = tiny_config(protocol=FLOODING_PROTOCOL)
+    spec = SweepSpec(
+        name="grid", base=base, grid={axis: values}, seeds=(base.seed,), duration=duration
+    )
+    return [run_scenario(run.config, duration=run.duration) for run in expand_spec(spec)]
+
+
 class TestSweep:
     def test_sweep_varies_parameter(self):
-        results = sweep(
-            tiny_config(protocol=FLOODING_PROTOCOL),
-            parameter="n_nodes",
-            values=[20, 40],
-            duration=30.0,
-        )
+        results = run_grid("n_nodes", [20, 40], duration=30.0)
         assert [r.config.n_nodes for r in results] == [20, 40]
         assert [r.report.node_count for r in results] == [20, 40]
 
     def test_sweep_extra_overrides(self):
-        results = sweep(
-            tiny_config(protocol=FLOODING_PROTOCOL),
-            parameter="max_speed",
-            values=[0.0],
-            duration=20.0,
-            extra_overrides={"n_nodes": 25},
-        )
+        # a dict-valued axis value moves a second field with the swept one
+        results = run_grid("max_speed", [{"max_speed": 0.0, "n_nodes": 25}], duration=20.0)
+        assert results[0].config.max_speed == 0.0
         assert results[0].config.n_nodes == 25
+        assert results[0].report.node_count == 25
 
     def test_results_table_contains_swept_column(self):
-        results = sweep(
-            tiny_config(protocol=FLOODING_PROTOCOL),
-            parameter="n_nodes",
-            values=[20],
-            duration=20.0,
-        )
+        results = run_grid("n_nodes", [20], duration=20.0)
         table = results_table(results, swept="n_nodes", title="demo")
         assert "demo" in table
         assert "n_nodes" in table

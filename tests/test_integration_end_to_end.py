@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.protocol import HVDB_PROTOCOL, HVDBConfig
 from repro.core.qos import QoSRequirement
-from repro.experiments.runner import run_scenario, sweep
+from repro.experiments.orchestrator import SweepSpec, expand_spec
+from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import ScenarioConfig, build_scenario
 from repro.metrics.availability import compute_availability
 from repro.metrics.delivery import compute_delivery_metrics
@@ -130,23 +131,27 @@ class TestMultiGroup:
 
 class TestSweepsSmoke:
     def test_node_count_sweep_runs(self):
-        results = sweep(
-            dataclasses.replace(BASE, max_speed=0.0, traffic_interval=2.0),
-            parameter="n_nodes",
-            values=[40, 80],
+        spec = SweepSpec(
+            name="nodes",
+            base=dataclasses.replace(BASE, max_speed=0.0, traffic_interval=2.0),
+            grid={"n_nodes": [40, 80]},
+            seeds=(BASE.seed,),
             duration=60.0,
         )
+        results = [run_scenario(run.config, duration=run.duration) for run in expand_spec(spec)]
         assert len(results) == 2
         for result in results:
             assert result.report.delivery.packets_originated > 0
 
     def test_dimension_sweep_runs(self):
-        results = sweep(
-            dataclasses.replace(BASE, traffic_interval=2.0),
-            parameter="hvdb.dimension",
-            values=[2, 4],
+        spec = SweepSpec(
+            name="dims",
+            base=dataclasses.replace(BASE, traffic_interval=2.0),
+            grid={"hvdb.dimension": [2, 4]},
+            seeds=(BASE.seed,),
             duration=50.0,
         )
+        results = [run_scenario(run.config, duration=run.duration) for run in expand_spec(spec)]
         assert [r.config.hvdb.dimension for r in results] == [2, 4]
         for result in results:
             assert 0.0 <= result.report.delivery.delivery_ratio <= 1.0

@@ -93,11 +93,11 @@ class TestExpansion:
         assert [r.config.seed for r in runs] == [3, 4]
         assert len({r.run_id for r in runs}) == 2
 
-    def test_runner_sweep_over_seed_parameter(self):
-        from repro.experiments.runner import sweep
+    def test_seed_axis_runs_in_process(self):
+        from repro.experiments.runner import run_scenario
 
-        config = tiny_spec().base
-        results = sweep(config, parameter="seed", values=[1, 2], duration=8.0)
+        spec = tiny_spec(grid={"seed": [1, 2]}, seeds=(1,), duration=8.0)
+        results = [run_scenario(run.config, duration=run.duration) for run in expand_spec(spec)]
         assert [r.config.seed for r in results] == [1, 2]
 
 

@@ -117,11 +117,12 @@ class TestAxisVocabulary:
             expand_spec(tiny_spec(grid={"hvdb.dimenson": [2]}))
 
     def test_results_table_accepts_dotted_swept_axis(self):
-        from repro.experiments.runner import results_table, sweep
+        from repro.experiments.runner import results_table, run_scenario
 
-        results = sweep(
-            tiny_config(), parameter="hvdb.dimension", values=[2, 3], duration=6.0
+        spec = tiny_spec(
+            grid={"hvdb.dimension": [2, 3]}, seeds=(tiny_config().seed,), duration=6.0
         )
+        results = [run_scenario(run.config, duration=run.duration) for run in expand_spec(spec)]
         table = results_table(results, swept="hvdb.dimension", title="dims")
         assert "hvdb.dimension" in table
 

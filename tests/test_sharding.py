@@ -118,12 +118,6 @@ class TestSpecValidation:
                 tiny_spec(grid={"n_nodes": [{"n_nodes": 10, "radio_rnge": 9.0}]})
             )
 
-    def test_runner_sweep_rejects_empty_values(self):
-        from repro.experiments.runner import sweep
-
-        with pytest.raises(SpecError, match="no values"):
-            sweep(tiny_spec().base, parameter="n_nodes", values=[])
-
     def test_run_sweep_surfaces_spec_errors(self):
         with pytest.raises(SpecError):
             run_sweep(tiny_spec(grid={"n_nodes": []}))

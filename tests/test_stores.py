@@ -298,12 +298,6 @@ class TestSweepIntegration:
         )
         assert all(r.from_cache for r in warm)
 
-    def test_spec_store_field_used(self, tmp_path):
-        spec = tiny_spec(store="sqlite")
-        target = str(tmp_path / "cache.db")
-        run_sweep(spec, workers=1, cache_dir=target, executor="serial")
-        assert os.path.isfile(target)
-
     def test_corrupt_sqlite_entry_reexecuted(self, tmp_path, capsys):
         spec = tiny_spec()
         db = tmp_path / "cache.db"
