@@ -11,8 +11,11 @@ named ``<workload>.out`` (untraced) or ``<workload>.trace.out``
 must report ``"correct": true``.  An untraced file must report a
 ``wall_s`` below its workload's ceiling in :data:`WALL_LIMIT_S`, and a
 traced file a ``trace.unattributed_frac`` below
-:data:`UNATTRIBUTED_LIMIT`.  An unknown workload, a missing metric or no
-files at all fails.  Exits 0 if every file passes, else 1.
+:data:`UNATTRIBUTED_LIMIT`.  Every workload in :data:`WALL_LIMIT_S` must
+have its untraced ``<workload>.out`` among the files, so dropping a
+workload from the run cannot weaken the gate.  An unknown workload, a
+missing metric or no files at all fails.  Exits 0 if every file passes
+and no workload is missing, else 1.
 """
 
 import json
@@ -58,6 +61,11 @@ def main(paths: list) -> int:
         problem = judge(path)
         if problem:
             print(f"perf-gate: FAIL: {path}: {problem}")
+            failed = True
+    names = {os.path.basename(path) for path in paths}
+    for workload in WALL_LIMIT_S:
+        if f"{workload}.out" not in names:
+            print(f"perf-gate: FAIL: {workload}: no untraced output ({workload}.out)")
             failed = True
     if failed:
         return 1

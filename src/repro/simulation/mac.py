@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Dict, NamedTuple, Tuple
 
 from repro.registry import register_mac
 
@@ -43,6 +43,10 @@ class TxPlan(NamedTuple):
 
 class MacModel(abc.ABC):
     """Computes per-hop delay and loss for frame transmissions."""
+
+    #: the default plan's memo, keyed by ``(size_bytes, contenders)``; a
+    #: MAC that keeps the default plan owns one (a dataclass field)
+    _plans: Dict[Tuple[int, int], TxPlan]
 
     @abc.abstractmethod
     def transmission_delay(self, size_bytes: int, contenders: int) -> float:
@@ -75,20 +79,31 @@ class MacModel(abc.ABC):
     ) -> TxPlan:
         """Resolve one frame into a :class:`TxPlan` (the transmit-path seam).
 
-        The default consumes nothing from ``rng`` and reproduces the
-        classic pair of :meth:`transmission_delay` /
-        :meth:`loss_probability` calls exactly, so pre-existing MACs keep
-        their byte-identical artifacts; stateful MACs (backoff draws,
-        duty-cycle budgets) override this.
+        The default plan is a pure function of ``(size_bytes,
+        contenders)``: it consumes nothing from ``rng`` and is the classic
+        pair of :meth:`transmission_delay` / :meth:`loss_probability`
+        calls, so it is built once per key and memoised on the instance
+        (``_plans``).  A MAC whose plan depends on anything else -- the
+        sender, the clock, random draws, mutable parameters -- must
+        override this, as stateful MACs (backoff draws, duty-cycle
+        budgets) do.
         """
-        delay = self.transmission_delay(size_bytes, contenders)
-        # positional, once per frame: proceed, delay, loss_probability, airtime
-        return TxPlan(True, delay, self.loss_probability(contenders), delay)
+        key = (size_bytes, contenders)
+        plan = self._plans.get(key)
+        if plan is None:
+            delay = self.transmission_delay(size_bytes, contenders)
+            # positional: proceed, delay, loss_probability, airtime
+            plan = self._plans[key] = TxPlan(
+                True, delay, self.loss_probability(contenders), delay
+            )
+        return plan
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimpleCsmaMac(MacModel):
     """CSMA-flavoured MAC abstraction.
+
+    Frozen, so no parameter can change under a memoised plan.
 
     Parameters
     ----------
@@ -110,6 +125,9 @@ class SimpleCsmaMac(MacModel):
     contention_factor: float = 0.10
     collision_probability_per_contender: float = 0.004
     max_collision_probability: float = 0.35
+    _plans: Dict[Tuple[int, int], TxPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.bandwidth_bps <= 0:
@@ -148,11 +166,14 @@ class SimpleCsmaMac(MacModel):
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdealMac(MacModel):
     """Loss-free, constant-delay MAC for unit tests and structural studies."""
 
     delay: float = 0.001
+    _plans: Dict[Tuple[int, int], TxPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def transmission_delay(self, size_bytes: int, contenders: int) -> float:
         return self.delay

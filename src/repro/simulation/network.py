@@ -51,7 +51,7 @@ class NetworkConfig:
     mobility_step: float = 1.0       #: seconds between mobility updates
     seed: Optional[int] = None       #: seed for loss/jitter randomness
     max_packet_hops: int = 64        #: safety TTL on physical hops
-    unicast_retries: int = 3         #: link-layer ARQ attempts for unicast frames
+    unicast_retries: int = 3         #: link-layer ARQ retries per unicast frame
 
     def __post_init__(self) -> None:
         # bootstrap=False: the default entries are registered by
@@ -290,7 +290,11 @@ class Network:
         duty-cycle denial); the radio is told about the frame's on-air
         interval before reception at each candidate receiver is decided,
         so interference-aware radios can hold every concurrent frame
-        against it.  The delivery is scheduled after the MAC delay.
+        against it.  A broadcast is fire-and-forget: one attempt per
+        neighbour, so its receptions share ``delay`` and go to the engine
+        as one fan-out entry.  A unicast frame gets link-layer ARQ
+        (802.11-style retries): up to ``1 + unicast_retries`` attempts,
+        and its one copy is delivered after the summed delays.
         """
         sender_node = self.nodes[sender]
         if not sender_node.alive:
@@ -304,88 +308,96 @@ class Network:
         neighbors = self.neighbor_positions(sender)
         now = self.simulator.now
         radio = config.radio
+        size = packet.size_bytes
         proceed, delay, mac_loss, airtime = config.mac.plan_transmission(
-            sender, now, packet.size_bytes, len(neighbors), self.rng
+            sender, now, size, len(neighbors), self.rng
         )
         if not proceed:
             stats.drops_duty_cycle += 1
             return
-        self._count_transmission(packet)
+        data = packet.kind is PacketKind.DATA
+        stats.transmissions += 1
+        stats.transmitted_bytes += size
+        if data:
+            stats.data_transmissions += 1
+            stats.data_bytes += size
+        else:
+            stats.control_transmissions += 1
+            stats.control_bytes += size
         stats.airtime_seconds += airtime
-        radio.note_transmission(sender, sender_pos, now, now + airtime)
+        end = now + airtime
+        radio.note_transmission(sender, sender_pos, now, end)
+        draw = self.rng.random
 
         if destination is None:
-            targets = neighbors.items()
-        elif destination in neighbors:
-            targets = ((destination, neighbors[destination]),)
-        else:
-            targets = ()
-            stats.drops_out_of_range += 1
-
-        # Unicast frames benefit from link-layer ARQ (802.11-style retries);
-        # broadcast frames are fire-and-forget: one attempt, so all their
-        # receptions share ``delay`` and go out as one fan-out entry.
-        attempts = 1 + (config.unicast_retries if destination is not None else 0)
-        receptions: Optional[List[Tuple[MobileNode, Packet, int]]] = (
-            [] if destination is None else None
-        )
-        draw = self.rng.random
-        for target, target_pos in targets:
-            receiver = self.nodes.get(target)
-            if receiver is None or not receiver.alive:
-                continue
-            total_delay = delay
-            received = False
-            for attempt in range(attempts):
-                attempt_start = now + attempt * delay
+            receptions: List[Tuple[MobileNode, Packet, int]] = []
+            for target, target_pos in neighbors.items():
+                receiver = self.nodes.get(target)
+                if receiver is None or not receiver.alive:
+                    continue
                 p_rx = radio.reception_probability_during(
-                    sender,
-                    sender_pos,
-                    target,
-                    target_pos,
-                    attempt_start,
-                    attempt_start + airtime,
+                    sender, sender_pos, target, target_pos, now, end
                 )
                 if draw() < p_rx and draw() >= mac_loss:
-                    received = True
-                    break
-                # a failed attempt costs another frame time (and is counted
-                # as an extra physical transmission occupying the medium)
-                if attempt + 1 < attempts:
-                    total_delay += delay
-                    self._count_transmission(packet)
-                    stats.airtime_seconds += airtime
-                    retry_start = now + (attempt + 1) * delay
-                    radio.note_transmission(
-                        sender, sender_pos, retry_start, retry_start + airtime
-                    )
-            if not received:
-                stats.drops_loss += 1
-                continue
-            copy = packet.copy_for_forwarding()
-            copy.hops += 1
-            if receptions is not None:
-                receptions.append((receiver, copy, sender))
+                    copy = packet.copy_for_forwarding()
+                    copy.hops += 1
+                    receptions.append((receiver, copy, sender))
+                else:
+                    stats.drops_loss += 1
+            if receptions:
+                self.simulator.schedule(delay, self._deliver, each=receptions)
+            return
+
+        target_pos = neighbors.get(destination)
+        if target_pos is None:
+            stats.drops_out_of_range += 1
+            return
+        receiver = self.nodes.get(destination)
+        if receiver is None or not receiver.alive:
+            return
+        retries = 0
+        total_delay = delay
+        start = now
+        while True:
+            p_rx = radio.reception_probability_during(
+                sender, sender_pos, destination, target_pos, start, end
+            )
+            if draw() < p_rx and draw() >= mac_loss:
+                received = True
+                break
+            if retries >= config.unicast_retries:
+                received = False
+                break
+            # a failed attempt with attempts left costs another frame time:
+            # one more physical transmission occupying the medium, noted
+            # before its own reception is decided
+            retries += 1
+            total_delay += delay
+            stats.airtime_seconds += airtime
+            start = now + retries * delay
+            end = start + airtime
+            radio.note_transmission(sender, sender_pos, start, end)
+        if retries:
+            stats.transmissions += retries
+            stats.transmitted_bytes += retries * size
+            if data:
+                stats.data_transmissions += retries
+                stats.data_bytes += retries * size
             else:
-                self.simulator.schedule(
-                    total_delay, lambda r=receiver, c=copy, s=sender: self._deliver(r, c, s)
-                )
-        if receptions:
-            self.simulator.schedule(delay, self._deliver, each=receptions)
+                stats.control_transmissions += retries
+                stats.control_bytes += retries * size
+        if not received:
+            stats.drops_loss += 1
+            return
+        copy = packet.copy_for_forwarding()
+        copy.hops += 1
+        self.simulator.schedule(
+            total_delay, lambda r=receiver, c=copy, s=sender: self._deliver(r, c, s)
+        )
 
     def _deliver(self, receiver: MobileNode, packet: Packet, sender: int) -> None:
         self.stats.receptions += 1
         receiver.deliver(packet, sender)
-
-    def _count_transmission(self, packet: Packet) -> None:
-        self.stats.transmissions += 1
-        self.stats.transmitted_bytes += packet.size_bytes
-        if packet.kind is PacketKind.DATA:
-            self.stats.data_transmissions += 1
-            self.stats.data_bytes += packet.size_bytes
-        else:
-            self.stats.control_transmissions += 1
-            self.stats.control_bytes += packet.size_bytes
 
     # ------------------------------------------------------------------
     # delivery ledger

@@ -32,9 +32,7 @@ class NodeStats:
     sent_control_bytes: int = 0
     sent_data_packets: int = 0
     sent_data_bytes: int = 0
-    forwarded_data_packets: int = 0
     delivered_to_application: int = 0
-    dropped_packets: int = 0
     energy_consumed: float = 0.0
 
     def record_send(self, packet: Packet, tx_energy: float) -> None:
@@ -44,8 +42,6 @@ class NodeStats:
         if packet.kind is PacketKind.DATA:
             self.sent_data_packets += 1
             self.sent_data_bytes += packet.size_bytes
-            if packet.source != -1:
-                self.forwarded_data_packets += 1
         else:
             self.sent_control_packets += 1
             self.sent_control_bytes += packet.size_bytes

@@ -217,8 +217,6 @@ class SinrRadio(RadioModel):
     (half-duplex).
     """
 
-    interference_aware = True
-
     def __init__(
         self,
         config: Optional[SinrRadioConfig] = None,

@@ -24,12 +24,6 @@ from repro.registry import register_radio
 class RadioModel(abc.ABC):
     """Decides whether a transmission between two positions is receivable."""
 
-    #: True for radios that model concurrent-transmission interference
-    #: (e.g. :class:`repro.simulation.phy.SinrRadio`); such radios are
-    #: told about every frame's on-air interval via
-    #: :meth:`note_transmission`.
-    interference_aware = False
-
     def in_range(self, a: Point, b: Point) -> bool:
         """True if a node at ``b`` can possibly hear a node at ``a``.
 

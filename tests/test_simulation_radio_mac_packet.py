@@ -5,13 +5,13 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.scenarios import ScenarioConfig
 from repro.geo.geometry import Point, distance
 from repro.registry import RADIOS
-from repro.simulation.mac import IdealMac, SimpleCsmaMac
+from repro.simulation.mac import IdealMac, SimpleCsmaMac, TxPlan
 from repro.simulation.packet import Packet, PacketKind, control_packet, data_packet
 from repro.simulation.radio import LogDistanceRadio, RadioModel, UnitDiskRadio
 from tests.conftest import literal_in_range
@@ -257,6 +257,70 @@ class TestIdealMac:
             plan.proceed = False
 
 
+#: the MACs that keep the default, memoised plan
+MEMOISED_MACS = {
+    "csma": SimpleCsmaMac,
+    "csma-lossy": lambda: SimpleCsmaMac(
+        bandwidth_bps=1_000_000.0,
+        base_latency=0.0005,
+        contention_factor=0.3,
+        collision_probability_per_contender=0.03,
+        max_collision_probability=0.9,
+    ),
+    "ideal": IdealMac,
+}
+
+_PLAN_KEY = st.tuples(
+    st.integers(min_value=0, max_value=10_000),
+    st.one_of(st.integers(min_value=0, max_value=64), st.sampled_from([10**6, 10**9])),
+)
+
+
+@pytest.mark.parametrize("make_mac", list(MEMOISED_MACS.values()), ids=list(MEMOISED_MACS))
+class TestDefaultPlanMemo:
+    """The default plan is built once per (size, contenders) and never draws."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(keys=st.lists(_PLAN_KEY, min_size=1, max_size=12))
+    @example(keys=[(0, 0), (10_000, 64), (1500, 10**6), (1500, 10**9)])
+    def test_plan_is_the_classic_pair_and_draws_nothing(self, make_mac, keys):
+        mac = make_mac()
+        rng = random.Random(11)
+        state = rng.getstate()
+        for size, contenders in keys + keys:
+            delay = mac.transmission_delay(size, contenders)
+            expected = TxPlan(True, delay, mac.loss_probability(contenders), delay)
+            first = mac.plan_transmission(0, 0.0, size, contenders, rng)
+            second = mac.plan_transmission(5, 12.5, size, contenders, rng)
+            assert first == expected
+            assert second is first
+            assert rng.getstate() == state
+        assert len(mac._plans) == len(set(keys))
+
+    def test_fields_cannot_be_assigned(self, make_mac):
+        mac = make_mac()
+        for field in dataclasses.fields(mac):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(mac, field.name, getattr(mac, field.name))
+
+    def test_memo_is_per_instance_and_kept_out_of_equality(self, make_mac):
+        mac, twin = make_mac(), make_mac()
+        mac.plan_transmission(0, 0.0, 100, 3, random.Random(1))
+        assert (100, 3) in mac._plans and twin._plans == {}
+        assert mac == twin and hash(mac) == hash(twin)
+        assert "_plans" not in repr(mac)
+
+
+class TestDefaultPlanRejectsBadKeys:
+    @pytest.mark.parametrize("make_mac", [MEMOISED_MACS["csma"], MEMOISED_MACS["csma-lossy"]])
+    def test_negative_size_or_contenders_raise_and_store_nothing(self, make_mac):
+        mac = make_mac()
+        for size, contenders in ((-1, 0), (-1, 5), (100, -1)):
+            with pytest.raises(ValueError):
+                mac.plan_transmission(0, 0.0, size, contenders, random.Random(1))
+        assert mac._plans == {}
+
+
 class TestMacLossProbabilityContract:
     """Every registered MAC honours the [0, 1] loss-probability contract."""
 
@@ -441,6 +505,17 @@ class TestCsmaCaMac:
         b = mac.plan_transmission(0, 0.0, 512, 4, random_module.Random(1))
         assert a == b  # same seed, same plan
         assert a.proceed and a.airtime > 0
+
+    def test_plan_is_not_memoised(self):
+        # every plan draws its backoff, so two plans for one key advance the rng
+        mac = self._mac()
+        rng = random.Random(4)
+        states = [rng.getstate()]
+        for _ in range(2):
+            assert mac.plan_transmission(0, 0.0, 512, 8, rng).proceed
+            states.append(rng.getstate())
+        assert states[0] != states[1] != states[2]
+        assert not hasattr(mac, "_plans")
 
     def test_duty_cycle_denial_and_ledger(self):
         mac = self._mac(duty_cycle=0.01, duty_cycle_window=1.0, bitrate_bps=1e6)
