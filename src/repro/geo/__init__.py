@@ -9,9 +9,10 @@ This package provides the geographic substrate the HVDB model is built on:
 * :mod:`repro.geo.grid` -- the Virtual Circle (VC) grid of the paper's
   Section 3 and Figure 2: the plane is partitioned into equal circular
   regions whose centres (VCCs) are laid out on a square lattice.
-* :mod:`repro.geo.location_service` -- the positioning service the paper
-  assumes every mobile node has (GPS-like), with optional error and
-  staleness injection.
+
+The positioning the paper assumes every mobile node has (GPS-like) needs
+no module of its own: protocols read true positions and velocities from
+:meth:`repro.simulation.network.Network.position_of` / ``velocity_of``.
 """
 
 from repro.geo.geometry import (
@@ -26,7 +27,6 @@ from repro.geo.geometry import (
 )
 from repro.geo.area import Area, BoundaryPolicy
 from repro.geo.grid import VirtualCircleGrid, VirtualCircle, GridCoord
-from repro.geo.location_service import LocationService, LocationSample, LocationError
 
 __all__ = [
     "Point",
@@ -42,7 +42,4 @@ __all__ = [
     "VirtualCircleGrid",
     "VirtualCircle",
     "GridCoord",
-    "LocationService",
-    "LocationSample",
-    "LocationError",
 ]

@@ -3,8 +3,9 @@
 All positions in the simulator are expressed as :class:`Point` instances in
 metres on a Euclidean plane.  Velocities and displacements are
 :class:`Vector` instances in metres / metres-per-second.  Both types are
-immutable so they can be shared safely between the simulator core, the
-clustering layer and the location service without defensive copies.
+immutable so they can be shared safely between the mobility models, the
+neighbour table and the clustering layer without defensive copies: a
+mobility tick keeps an in-area state as its model returned it.
 """
 
 from __future__ import annotations

@@ -56,17 +56,23 @@ class SpatialHash(Generic[T]):
     def insert(self, item: T, point: Point) -> None:
         self._buckets.setdefault(self.cell_of(point), []).append(item)
 
-    def candidates(self, point: Point) -> Iterator[T]:
+    def candidates(self, point: Point) -> List[T]:
         """Every item within one cell of ``point`` (including its own).
 
         The superset of all items within ``cell`` of ``point``; callers
-        apply their exact distance predicate to the survivors.
+        apply their exact distance predicate to the survivors.  The
+        result is a fresh list joined from the 3x3 buckets, ``dx`` outer
+        and ``dy`` inner, each bucket in insertion order.
         """
         cx, cy = self.cell_of(point)
+        get = self._buckets.get
+        joined: List[T] = []
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
-                for item in self._buckets.get((cx + dx, cy + dy), ()):
-                    yield item
+                bucket = get((cx + dx, cy + dy))
+                if bucket is not None:
+                    joined += bucket
+        return joined
 
 
 @dataclass(frozen=True, slots=True)

@@ -73,17 +73,30 @@ class MobilityModel(abc.ABC):
         self._states[node_id] = replace(self._states[node_id], position=position)
 
     def advance(self, dt: float) -> None:
-        """Advance every node by ``dt`` seconds."""
+        """Advance every node by ``dt`` seconds.
+
+        A stepped state inside the area (bounds inclusive, as
+        :meth:`Area.contains`) is stored as :meth:`_step` returned it; only
+        a position outside goes through :meth:`Area.apply_boundary`.
+        """
         if dt < 0:
             raise ValueError("dt must be non-negative")
         if dt == 0:
             return
+        states = self._states
+        step = self._step
+        area = self.area
+        width, height = area.width, area.height
         for node_id in self.node_ids:
-            new_state = self._step(node_id, self._states[node_id], dt)
-            position, velocity = self.area.apply_boundary(
-                new_state.position, new_state.velocity, self.boundary_policy
+            new_state = step(node_id, states[node_id], dt)
+            position = new_state.position
+            if 0.0 <= position.x <= width and 0.0 <= position.y <= height:
+                states[node_id] = new_state
+                continue
+            position, velocity = area.apply_boundary(
+                position, new_state.velocity, self.boundary_policy
             )
-            self._states[node_id] = NodeMotionState(position, velocity)
+            states[node_id] = NodeMotionState(position, velocity)
 
     # ------------------------------------------------------------------
     # hooks for subclasses

@@ -9,10 +9,11 @@ pauses for ``pause_time`` seconds on arrival, then repeats.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot
 from typing import Dict, Iterable, Optional
 
 from repro.geo.area import Area
-from repro.geo.geometry import Point, Vector, distance, move_towards
+from repro.geo.geometry import Point, Vector
 from repro.mobility.base import MobilityModel, NodeMotionState
 
 
@@ -67,6 +68,8 @@ class RandomWaypointMobility(MobilityModel):
         return NodeMotionState(position, velocity)
 
     def _step(self, node_id: int, state: NodeMotionState, dt: float) -> NodeMotionState:
+        # distance and move_towards written out: the same float operations
+        # in the same order, without the intermediate Points and Vectors
         trip = self._trips[node_id]
         position = state.position
         remaining = dt
@@ -80,28 +83,34 @@ class RandomWaypointMobility(MobilityModel):
                 trip = self._new_trip(position)
                 self._trips[node_id] = trip
                 continue
-            gap = distance(position, trip.destination)
+            px, py = position.x, position.y
+            destination = trip.destination
+            tx, ty = destination.x, destination.y
+            gap = hypot(px - tx, py - ty)
             step = trip.speed * remaining
             if step < gap:
-                position = move_towards(position, trip.destination, step)
+                frac = step / gap
+                position = Point(px + (tx - px) * frac, py + (ty - py) * frac)
                 remaining = 0.0
             else:
                 # arrive and start pausing
                 time_to_arrive = gap / trip.speed if trip.speed > 0 else 0.0
-                position = trip.destination
+                position = destination
                 remaining -= time_to_arrive
                 trip.pause_remaining = self.pause_time
                 if self.pause_time == 0.0:
                     trip = self._new_trip(position)
                     self._trips[node_id] = trip
-        velocity = (
-            Vector(0.0, 0.0)
-            if trip.pause_remaining > 0
-            else _velocity_towards(position, trip.destination, trip.speed)
-        )
-        return NodeMotionState(position, velocity)
+        if trip.pause_remaining > 0:
+            return NodeMotionState(position, Vector(0.0, 0.0))
+        return NodeMotionState(position, _velocity_towards(position, trip.destination, trip.speed))
 
 
 def _velocity_towards(origin: Point, target: Point, speed: float) -> Vector:
-    direction = origin.vector_to(target).normalized()
-    return direction.scaled(speed)
+    # origin.vector_to(target).normalized().scaled(speed), written out
+    dx = target.x - origin.x
+    dy = target.y - origin.y
+    mag = hypot(dx, dy)
+    if mag == 0.0:
+        return Vector(0.0, 0.0)
+    return Vector(dx / mag * speed, dy / mag * speed)

@@ -135,8 +135,6 @@ class Network:
             )
         node.bind_network(self)
         self.nodes[node.node_id] = node
-        state = self.mobility.state(node.node_id)
-        node.location_service.record(state.position, state.velocity, self.simulator.now)
         return node
 
     def add_nodes(self, nodes: Iterable[MobileNode]) -> None:
@@ -186,24 +184,22 @@ class Network:
         radio = self.config.radio
         # RadioModel.in_range, inline: the one disc test every radio uses
         reach = radio.nominal_range + 1e-9
-        index: SpatialHash[int] = SpatialHash(radio.nominal_range)
+        index: SpatialHash[Tuple[int, Point]] = SpatialHash(radio.nominal_range)
+        position = self.mobility.position
         positions: Dict[int, Point] = {}
         for node_id, node in self.nodes.items():
             if not node.alive:
                 continue
-            pos = self.mobility.position(node_id)
-            positions[node_id] = pos
-            index.insert(node_id, pos)
-        # nodes in one cell share their candidates: list them once per cell
+            pos = positions[node_id] = position(node_id)
+            index.insert((node_id, pos), pos)
+        # nodes in one cell share their candidates: join them once per cell
         cell_candidates: Dict[Tuple[int, int], List[Tuple[int, Point]]] = {}
         table: Dict[int, Mapping[int, Point]] = {}
         for node_id, pos in positions.items():
             cell = index.cell_of(pos)
             candidates = cell_candidates.get(cell)
             if candidates is None:
-                candidates = cell_candidates[cell] = [
-                    (other, positions[other]) for other in index.candidates(pos)
-                ]
+                candidates = cell_candidates[cell] = index.candidates(pos)
             x, y = pos.x, pos.y
             table[node_id] = MappingProxyType({
                 other: other_pos
@@ -271,10 +267,6 @@ class Network:
 
     def _mobility_tick(self) -> None:
         self.mobility.advance(self.config.mobility_step)
-        now = self.simulator.now
-        for node_id, node in self.nodes.items():
-            state = self.mobility.state(node_id)
-            node.location_service.record(state.position, state.velocity, now)
         self._invalidate_neighbors()
 
     # ------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Mobile nodes.
 
-A :class:`MobileNode` owns its protocol agents, a GPS-like location
-service, per-node statistics and a multicast membership set.  All physical
-transmission goes through the :class:`~repro.simulation.network.Network`,
-which knows positions and neighbourhood.
+A :class:`MobileNode` owns its protocol agents, per-node statistics and a
+multicast membership set.  All physical transmission goes through the
+:class:`~repro.simulation.network.Network`, which knows positions and
+neighbourhood: the paper's GPS assumption is modelled by every node
+reading its true position and velocity from there.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.geo.geometry import Point, Vector
-from repro.geo.location_service import LocationService
 from repro.simulation.packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,13 +73,11 @@ class MobileNode:
         self,
         node_id: int,
         ch_capable: bool = True,
-        location_service: Optional[LocationService] = None,
         tx_energy: float = 1.0,
         rx_energy: float = 0.5,
     ) -> None:
         self.node_id = node_id
         self.ch_capable = ch_capable
-        self.location_service = location_service or LocationService()
         self.tx_energy = tx_energy
         self.rx_energy = rx_energy
         self.stats = NodeStats()

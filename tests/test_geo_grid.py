@@ -143,3 +143,54 @@ class TestSpatialHash:
         index.insert("neg", Point(-5.0, -5.0))
         index.insert("origin", Point(1.0, 1.0))
         assert set(index.candidates(Point(-1.0, -1.0))) == {"neg", "origin"}
+
+    @staticmethod
+    def layout_3x3():
+        """Two items in every cell of the 3x3 block around cell (1, 1),
+        inserted in a scrambled order, plus two items outside the block."""
+        from repro.geo.grid import SpatialHash
+
+        index = SpatialHash(10.0)
+        cells = [(2, 0), (0, 1), (1, 1), (0, 0), (2, 2), (1, 0), (0, 2), (1, 2), (2, 1)]
+        for rank in ("a", "b"):
+            for col, row in cells:
+                index.insert(f"{col}{row}{rank}", Point(col * 10.0 + 5.0, row * 10.0 + 5.0))
+        index.insert("far-x", Point(35.0, 15.0))
+        index.insert("far-y", Point(15.0, -5.0))
+        return index
+
+    def test_candidates_follow_the_walk_order(self):
+        # dx outer, dy inner; within a cell, insertion order
+        assert self.layout_3x3().candidates(Point(15.0, 15.0)) == [
+            "00a", "00b", "01a", "01b", "02a", "02b",
+            "10a", "10b", "11a", "11b", "12a", "12b",
+            "20a", "20b", "21a", "21b", "22a", "22b",
+        ]
+
+    def test_candidates_are_a_fresh_list(self):
+        index = self.layout_3x3()
+        first = index.candidates(Point(15.0, 15.0))
+        expected = list(first)
+        first.append("intruder")
+        first.remove("11a")
+        assert index.candidates(Point(15.0, 15.0)) == expected
+        assert index.candidates(Point(15.0, 15.0)) is not index.candidates(Point(15.0, 15.0))
+        assert len(index) == 20
+        # a lone bucket is copied too
+        lone = self.layout_3x3()
+        far = lone.candidates(Point(45.0, 15.0))
+        assert far == ["far-x"]
+        far.clear()
+        assert lone.candidates(Point(45.0, 15.0)) == ["far-x"]
+
+    def test_candidates_carry_tuple_items_as_given(self):
+        from repro.geo.grid import SpatialHash
+
+        index = SpatialHash(10.0)
+        entries = [(7, Point(1.0, 1.0)), (3, Point(12.0, 1.0)), (5, Point(2.0, 3.0))]
+        for entry in entries:
+            index.insert(entry, entry[1])
+        expected = [entries[0], entries[2], entries[1]]
+        got = index.candidates(Point(1.0, 1.0))
+        assert got == expected
+        assert all(a is b for a, b in zip(got, expected))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.geo.area import Area
 from repro.geo.geometry import Point
-from repro.geo.grid import SpatialHash
 from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.mobility.static import StaticMobility
 from repro.registry import MACS, RADIOS
@@ -258,12 +257,16 @@ class TestMobilityIntegration:
         net.add_node(MobileNode(0))
         net.add_node(MobileNode(1))
         before = net.position_of(0)
+        table_before = net.neighbor_positions(0)
         net.start()
         net.simulator.run(10.0)
         after = net.position_of(0)
         assert before != after
-        # the location service follows the mobility updates
-        assert net.node(0).location_service.last_known().position == after
+        # every reader sees the ticked state: the node's own GPS-like view
+        # and a neighbour table rebuilt since the first read
+        assert net.node(0).position == after
+        assert net.node(0).velocity == mobility.velocity(0)
+        assert net.neighbor_positions(0) is not table_before
 
     def test_neighbor_positions_follow_ticks_and_failures(self):
         area = Area(600.0, 600.0)
@@ -313,28 +316,35 @@ class TestMobilityIntegration:
 
 
 def reference_neighbor_lists(net):
-    """Neighbour lists as the table was built before candidates were listed
-    once per cell: one ``SpatialHash.candidates`` walk per node, and each
-    radio's disc test written out literally (``literal_in_range``), not
-    the ``RadioModel.in_range`` arithmetic the table inlines."""
+    """Neighbour lists from a literal 3x3 cell walk that shares no code
+    with the table: a node at ``(x, y)`` sits in cell ``(int(x // r),
+    int(y // r))`` for the radio's nominal range ``r``; its candidates are
+    the alive nodes of the cells around it, ``dx`` outer and ``dy`` inner,
+    each cell's nodes in ``net.nodes`` order; and each radio's disc test is
+    written out literally (``literal_in_range``), not the
+    ``RadioModel.in_range`` arithmetic the table inlines."""
     radio = net.config.radio
+    r = radio.nominal_range
     in_range = literal_in_range(radio)
-    index = SpatialHash(radio.nominal_range)
-    positions = {}
-    for node_id, node in net.nodes.items():
-        if not node.alive:
-            continue
-        pos = net.mobility.position(node_id)
-        positions[node_id] = pos
-        index.insert(node_id, pos)
-    return {
-        node_id: [
-            (other, positions[other])
-            for other in index.candidates(pos)
-            if other != node_id and in_range(pos, positions[other])
-        ]
-        for node_id, pos in positions.items()
+    positions = {
+        node_id: net.mobility.position(node_id)
+        for node_id, node in net.nodes.items()
+        if node.alive
     }
+    cells = {node_id: (int(p.x // r), int(p.y // r)) for node_id, p in positions.items()}
+    lists = {}
+    for node_id, pos in positions.items():
+        cx, cy = cells[node_id]
+        lists[node_id] = [
+            (other, positions[other])
+            for dx in (-1, 0, 1)
+            for dy in (-1, 0, 1)
+            for other in positions
+            if cells[other] == (cx + dx, cy + dy)
+            and other != node_id
+            and in_range(pos, positions[other])
+        ]
+    return lists
 
 
 _NODE_ACTIONS = st.one_of(
