@@ -23,8 +23,8 @@ import os
 import sys
 
 #: about 10x the median wall_s of each workload on a 2-vCPU shared VM
-#: (2.97 s, 0.443 s, 0.548 s), so only a catastrophic slowdown fails
-WALL_LIMIT_S = {"hvdb_200": 30.0, "flood_200": 4.5, "sweep_phy_smoke": 5.5}
+#: (2.08 s, 0.288 s, 0.330 s), so only a catastrophic slowdown fails
+WALL_LIMIT_S = {"hvdb_200": 21.0, "flood_200": 3.0, "sweep_phy_smoke": 3.5}
 #: the largest share of a traced run's time left outside the named layers
 UNATTRIBUTED_LIMIT = 0.05
 

@@ -166,7 +166,7 @@ class DsmAgent(ProtocolAgent):
             self._seen_control.add(key)
             x, y = packet.payload["pos"]
             self.known_positions[packet.payload["node"]] = (Point(x, y), self.now)
-            self.node.broadcast(packet.copy_for_forwarding())
+            self.node.broadcast(packet)
             return
         if packet.msg_type == "data":
             if packet.uid in self._seen_data:

@@ -59,7 +59,8 @@ class FloodingMulticastAgent(ProtocolAgent):
         if packet.group is not None and self.node.is_member(packet.group):
             self.node.deliver_to_application(packet)
         self.rebroadcasts += 1
-        self.node.broadcast(packet.copy_for_forwarding())
+        # passed on as received: transmit makes the on-air copy
+        self.node.broadcast(packet)
 
 
 @register_protocol(FLOODING_PROTOCOL)

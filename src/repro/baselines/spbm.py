@@ -149,7 +149,7 @@ class SpbmAgent(ProtocolAgent):
         origin_center = self._square_center(square)
         parent_of_origin = self._square_of(origin_center, parent_level)
         if self._contains(parent_of_origin, my_pos):
-            self.node.broadcast(packet.copy_for_forwarding())
+            self.node.broadcast(packet)
 
     # ------------------------------------------------------------------
     # data path
@@ -188,7 +188,7 @@ class SpbmAgent(ProtocolAgent):
         squares = [tuple(s) for s in packet.headers.get("squares", [])]
         if not squares:
             # no aggregated knowledge: deliver locally via one broadcast
-            self.node.broadcast(packet.copy_for_forwarding())
+            self.node.broadcast(packet)
             return
         my_pos = self.network.position_of(self.node_id)
         inside = [s for s in squares if self._contains(s, my_pos)]

@@ -19,11 +19,7 @@ from repro.geo.geometry import (
     Point,
     Vector,
     distance,
-    distance_sq,
-    midpoint,
-    clamp,
     heading_to_vector,
-    move_towards,
 )
 from repro.geo.area import Area, BoundaryPolicy
 from repro.geo.grid import VirtualCircleGrid, VirtualCircle, GridCoord
@@ -32,11 +28,7 @@ __all__ = [
     "Point",
     "Vector",
     "distance",
-    "distance_sq",
-    "midpoint",
-    "clamp",
     "heading_to_vector",
-    "move_towards",
     "Area",
     "BoundaryPolicy",
     "VirtualCircleGrid",

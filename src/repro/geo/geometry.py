@@ -99,40 +99,6 @@ def distance(a: Point, b: Point) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def distance_sq(a: Point, b: Point) -> float:
-    """Squared Euclidean distance (cheaper when only comparisons matter)."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    return Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-
-
-def clamp(value: float, low: float, high: float) -> float:
-    """Clamp ``value`` into the closed interval ``[low, high]``."""
-    if low > high:
-        raise ValueError(f"empty interval: [{low}, {high}]")
-    return max(low, min(high, value))
-
-
 def heading_to_vector(heading: float, speed: float) -> Vector:
     """Build a velocity vector from a heading (radians) and a speed."""
     return Vector(math.cos(heading) * speed, math.sin(heading) * speed)
-
-
-def move_towards(origin: Point, target: Point, max_step: float) -> Point:
-    """Move from ``origin`` towards ``target`` by at most ``max_step`` metres.
-
-    If the target is closer than ``max_step`` the target itself is
-    returned, so repeated calls converge exactly.
-    """
-    if max_step < 0:
-        raise ValueError("max_step must be non-negative")
-    gap = distance(origin, target)
-    if gap <= max_step or gap == 0.0:
-        return target
-    frac = max_step / gap
-    return Point(origin.x + (target.x - origin.x) * frac,
-                 origin.y + (target.y - origin.y) * frac)

@@ -44,8 +44,9 @@ def _static_if_stationary(config, node_ids):
 
 
 def _min_speed(config) -> float:
-    """Speed floor shared by the moving models: 10% of max, at least 0.5."""
-    return max(0.5, config.max_speed * 0.1)
+    """Speed floor shared by the moving models: 10% of max, at least 0.5,
+    but never above ``max_speed`` itself."""
+    return min(config.max_speed, max(0.5, config.max_speed * 0.1))
 
 
 @register_mobility("random_waypoint")

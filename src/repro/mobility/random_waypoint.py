@@ -68,8 +68,8 @@ class RandomWaypointMobility(MobilityModel):
         return NodeMotionState(position, velocity)
 
     def _step(self, node_id: int, state: NodeMotionState, dt: float) -> NodeMotionState:
-        # distance and move_towards written out: the same float operations
-        # in the same order, without the intermediate Points and Vectors
+        # the gap to the waypoint and a partial leg in plain floats: one
+        # hypot serves both, with no intermediate Points or Vectors
         trip = self._trips[node_id]
         position = state.position
         remaining = dt

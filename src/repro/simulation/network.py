@@ -284,9 +284,12 @@ class Network:
         so interference-aware radios can hold every concurrent frame
         against it.  A broadcast is fire-and-forget: one attempt per
         neighbour, so its receptions share ``delay`` and go to the engine
-        as one fan-out entry.  A unicast frame gets link-layer ARQ
-        (802.11-style retries): up to ``1 + unicast_retries`` attempts,
-        and its one copy is delivered after the summed delays.
+        as one fan-out entry, and they share one received frame, which
+        every receiver must treat as read-only (see :class:`Packet`).  A
+        unicast frame gets link-layer ARQ (802.11-style retries): up to
+        ``1 + unicast_retries`` attempts, and its one receiver gets a
+        copy of its own after the summed delays.  ``packet`` itself is
+        never written.
         """
         sender_node = self.nodes[sender]
         if not sender_node.alive:
@@ -322,18 +325,25 @@ class Network:
         draw = self.rng.random
 
         if destination is None:
+            # the table admitted each neighbour by such a radio's own disc
+            # test, on the same operands, so its answer would be 1.0; the
+            # draw against it stays
+            whole_disc = radio.hears_whole_disc
+            # the one received frame all receivers share, made on the first
+            frame: Optional[Packet] = None
             receptions: List[Tuple[MobileNode, Packet, int]] = []
             for target, target_pos in neighbors.items():
                 receiver = self.nodes.get(target)
                 if receiver is None or not receiver.alive:
                     continue
-                p_rx = radio.reception_probability_during(
+                p_rx = 1.0 if whole_disc else radio.reception_probability_during(
                     sender, sender_pos, target, target_pos, now, end
                 )
                 if draw() < p_rx and draw() >= mac_loss:
-                    copy = packet.copy_for_forwarding()
-                    copy.hops += 1
-                    receptions.append((receiver, copy, sender))
+                    if frame is None:
+                        frame = packet.copy_for_forwarding()
+                        frame.hops += 1
+                    receptions.append((receiver, frame, sender))
                 else:
                     stats.drops_loss += 1
             if receptions:

@@ -32,6 +32,14 @@ class Packet:
     forwarding keep the uid, so delivery ratio is counted per original
     packet).  ``hops`` counts physical transmissions experienced by this
     copy.
+
+    A received packet is read-only when it came by broadcast: every
+    receiver of one broadcast is handed the same object, so a receiver
+    that wants to change it (a header, ``hops``) calls
+    :meth:`copy_for_forwarding` first and changes the copy.  A unicast
+    delivery hands its one receiver a copy of its own.
+    ``Network.transmit`` never writes the packet it is given, so a
+    received packet can be broadcast again as it is.
     """
 
     kind: PacketKind
@@ -56,9 +64,13 @@ class Packet:
         entries (e.g. re-encapsulate a multicast sub-tree) without
         affecting sibling copies.  Header *values* stay shared: a forwarder
         installs a new value rather than mutating the one it received.
+        This is the one way to change a packet received by broadcast,
+        which is shared by every receiver of that broadcast; passing it on
+        unchanged needs no copy, since ``Network.transmit`` makes the
+        on-air copy itself.
         """
         # field by field, around the generated __init__: its default-factory
-        # checks cost more than the copy itself on this per-reception path
+        # checks cost more than the copy itself, made once per frame sent
         copy = object.__new__(Packet)
         copy.kind = self.kind
         copy.protocol = self.protocol

@@ -24,6 +24,23 @@ from repro.registry import register_radio
 class RadioModel(abc.ABC):
     """Decides whether a transmission between two positions is receivable."""
 
+    #: True only for a radio whose :meth:`reception_probability_during`
+    #: returns exactly 1.0, and records nothing, for every pair that
+    #: :meth:`in_range` admits, whatever the interval.  ``Network.transmit``
+    #: then skips that call for a broadcast's table neighbours (it still
+    #: draws against 1.0).  A subclass that redefines either reception
+    #: method without restating the flag reads False.
+    hears_whole_disc: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        redefines_reception = (
+            "reception_probability" in cls.__dict__
+            or "reception_probability_during" in cls.__dict__
+        )
+        if redefines_reception and "hears_whole_disc" not in cls.__dict__:
+            cls.hears_whole_disc = False
+
     def in_range(self, a: Point, b: Point) -> bool:
         """True if a node at ``b`` can possibly hear a node at ``a``.
 
@@ -75,6 +92,10 @@ class RadioModel(abc.ABC):
 
 class UnitDiskRadio(RadioModel):
     """Deterministic unit-disk radio: perfect reception within ``range_m``."""
+
+    # reception_probability_during is in_range's test (nominal_range is
+    # range_m) and records nothing
+    hears_whole_disc = True
 
     def __init__(self, range_m: float = 250.0) -> None:
         if range_m <= 0:

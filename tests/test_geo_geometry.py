@@ -7,12 +7,8 @@ import pytest
 from repro.geo.geometry import (
     Point,
     Vector,
-    clamp,
     distance,
-    distance_sq,
     heading_to_vector,
-    midpoint,
-    move_towards,
 )
 
 
@@ -70,21 +66,8 @@ class TestVector:
 
 
 class TestFunctions:
-    def test_distance_and_squared_consistency(self):
-        a, b = Point(1.0, 2.0), Point(4.0, 6.0)
-        assert distance(a, b) ** 2 == pytest.approx(distance_sq(a, b))
-
-    def test_midpoint(self):
-        assert midpoint(Point(0.0, 0.0), Point(2.0, 4.0)) == Point(1.0, 2.0)
-
-    def test_clamp_inside_and_outside(self):
-        assert clamp(5.0, 0.0, 10.0) == 5.0
-        assert clamp(-1.0, 0.0, 10.0) == 0.0
-        assert clamp(11.0, 0.0, 10.0) == 10.0
-
-    def test_clamp_empty_interval_raises(self):
-        with pytest.raises(ValueError):
-            clamp(1.0, 5.0, 2.0)
+    def test_distance(self):
+        assert distance(Point(1.0, 2.0), Point(4.0, 6.0)) == 5.0
 
     def test_heading_to_vector(self):
         v = heading_to_vector(0.0, 2.0)
@@ -93,21 +76,3 @@ class TestFunctions:
         v = heading_to_vector(math.pi / 2, 3.0)
         assert v.dx == pytest.approx(0.0, abs=1e-12)
         assert v.dy == pytest.approx(3.0)
-
-    def test_move_towards_partial(self):
-        result = move_towards(Point(0.0, 0.0), Point(10.0, 0.0), 4.0)
-        assert result == Point(4.0, 0.0)
-
-    def test_move_towards_reaches_target(self):
-        target = Point(3.0, 4.0)
-        assert move_towards(Point(0.0, 0.0), target, 100.0) == target
-        # exactly at the target distance also arrives
-        assert move_towards(Point(0.0, 0.0), target, 5.0) == target
-
-    def test_move_towards_zero_distance(self):
-        p = Point(1.0, 1.0)
-        assert move_towards(p, p, 0.0) == p
-
-    def test_move_towards_negative_step_raises(self):
-        with pytest.raises(ValueError):
-            move_towards(Point(0.0, 0.0), Point(1.0, 1.0), -1.0)

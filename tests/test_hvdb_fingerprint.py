@@ -1,16 +1,20 @@
-"""HVDB protocol-fingerprint regression suite.
+"""Protocol-fingerprint regression suite: HVDB and the DSM, SPBM and SGM baselines.
 
-Locks the HVDB control plane down against the golden capture in
-``tests/data/hvdb_fingerprints.json``: one small seeded 60-node run per
-case below, and every metric of its ``MetricsReport.flat_row()`` must
-match the golden value exactly.
+Locks the HVDB control plane and the baselines down against the golden
+capture in ``tests/data/hvdb_fingerprints.json``: one small seeded
+60-node run per case below, and every metric of its
+``MetricsReport.flat_row()`` must match the golden value exactly.
 
-The cases reach what E2's reference point does not: a single route per
-destination, logical-hop bounds of 2 and 6, a route expiry short
+The HVDB cases reach what E2's reference point does not: a single route
+per destination, logical-hop bounds of 2 and 6, a route expiry short
 enough that prunes drop routes, delay and bandwidth QoS bounds that
 reject logical hops (non-zero ``qos_rejections``), and E5's mid-run
-cluster-head failure.  A change to route-table order, beacon contents,
-rng-draw order or the transmit path shows up here.
+cluster-head failure.  The ``dsm``, ``spbm`` and ``sgm`` cases run the
+same scenario with only ``protocol`` switched: DSM's position floods
+and SPBM's membership floods are the broadcast-heavy traffic of E3, and
+SGM's overlay tree is E2's third protocol (the phy fingerprints pin
+flooding).  A change to route-table order, beacon contents, rng-draw
+order, a baseline's forwarding or the transmit path shows up here.
 
 Regenerate deliberately (after an intended protocol change) with::
 
@@ -22,6 +26,7 @@ and review the golden diff like source code.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict
 
@@ -46,7 +51,11 @@ SHORT_EXPIRY = 2.5
 
 
 def fingerprint_config(params=None, qos=None) -> ScenarioConfig:
-    """The 60-node HVDB scenario every case varies (E2's density)."""
+    """The 60-node HVDB scenario every case varies (E2's density).
+
+    The baseline cases switch only ``protocol``; the ``hvdb`` section is
+    then unused.
+    """
     return ScenarioConfig(
         protocol="hvdb",
         n_nodes=60,
@@ -100,6 +109,9 @@ CASES: Dict[str, Callable[[], Dict]] = {
         fingerprint_config(qos={1: QoSRequirement(min_bandwidth=3e5)})
     ),
     "ch_failure_40pct": _ch_failure,
+    "dsm": _plain(replace(fingerprint_config(), protocol="dsm")),
+    "spbm": _plain(replace(fingerprint_config(), protocol="spbm")),
+    "sgm": _plain(replace(fingerprint_config(), protocol="sgm")),
 }
 
 

@@ -132,6 +132,17 @@ class TestRandomWalk:
             RandomWalkMobility(AREA, [0], epoch=0.0)
 
 
+@pytest.mark.parametrize("name", ["random_waypoint", "random_walk"])
+def test_registered_model_slower_than_the_speed_floor_moves_at_max_speed(name):
+    config = ScenarioConfig(area_size=1000.0, max_speed=0.25, pause_time=0.0, seed=3)
+    model = MOBILITY_MODELS.get(name)(config, NODE_IDS)
+    assert model.min_speed == model.max_speed == 0.25
+    before = {n: model.position(n) for n in NODE_IDS}
+    model.advance(1.0)
+    for n in NODE_IDS:
+        assert geometry.distance(before[n], model.position(n)) == pytest.approx(0.25)
+
+
 class TestGaussMarkov:
     def test_inside_area(self):
         model = GaussMarkovMobility(AREA, NODE_IDS, mean_speed=10.0, seed=9)
@@ -349,9 +360,9 @@ class TestAdvanceMatchesReference:
         # small areas, so random-walk, Gauss-Markov and RPGM steps leave
         # them; a large one, so most waypoint steps end mid-leg
         area_size=st.sampled_from([20.0, 60.0, 150.0, 1000.0]),
-        # 0 degrades the moving factories to static; below 0.5 they reject
-        # the config (their speed floor is 0.5)
-        max_speed=st.one_of(st.just(0.0), st.floats(min_value=0.5, max_value=40.0)),
+        # 0 degrades the moving factories to static; below 0.5 their speed
+        # floor is max_speed itself, so every node moves at max_speed
+        max_speed=st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=40.0)),
         pause_time=st.sampled_from([0.0, 0.5, 2.0, 5.0]),
         seed=st.integers(min_value=0, max_value=10_000),
         n_nodes=st.integers(min_value=1, max_value=8),

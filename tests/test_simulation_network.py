@@ -388,6 +388,17 @@ class TestNeighborTableMatchesReference:
                 assert list(net.neighbor_positions(node_id).items()) == (
                     expected.get(node_id, [])
                 ), node_id
+            if not radio.hears_whole_disc:
+                return
+            # what lets a broadcast skip the radio call: it would say 1.0
+            # for every table neighbour
+            now = net.simulator.now
+            for node_id in ids:
+                pos = net.position_of(node_id)
+                for other, other_pos in net.neighbor_positions(node_id).items():
+                    assert radio.reception_probability_during(
+                        node_id, pos, other, other_pos, now, now + 0.01
+                    ) == 1.0, (node_id, other)
 
         check()
         for kind, arg in actions:

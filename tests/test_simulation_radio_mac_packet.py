@@ -87,6 +87,28 @@ class TestUnitDiskRadio:
         with pytest.raises(ValueError):
             UnitDiskRadio(0.0)
 
+    def test_hears_whole_disc_only_where_stated(self):
+        assert UnitDiskRadio.hears_whole_disc
+        for name in RADIOS.names():
+            radio = RADIOS.get(name)(None)
+            assert radio.hears_whole_disc == isinstance(radio, UnitDiskRadio), name
+
+        class Renamed(UnitDiskRadio):
+            pass
+
+        class Fading(UnitDiskRadio):
+            def reception_probability_during(self, *args):
+                return 0.5
+
+        class Restated(Fading):
+            hears_whole_disc = True
+
+        # a subclass that redefines reception without restating the flag
+        # makes no promise about its disc
+        assert Renamed.hears_whole_disc
+        assert not Fading.hears_whole_disc
+        assert Restated.hears_whole_disc
+
 
 def reference_unit_disk_probability(radio, a, b):
     """``reception_probability`` -> ``in_range`` -> ``distance``, as the
