@@ -57,8 +57,8 @@ store-smoke:
 ## seconds-long end-to-end check of the physical layer: the phy_smoke
 ## sweep (one run per registered radio x MAC combination, sinr and
 ## csma_ca included), a warm re-run that must execute nothing, and the
-## physics-fingerprint regression suite (golden metric rows, cache-key
-## digests, artifact hashes)
+## physics-fingerprint regression suite (golden metric rows, every
+## registered spec's cache keys, artifact hashes)
 PHY_SMOKE_DIR := .ci/phy-smoke
 phy-smoke:
 	rm -rf $(PHY_SMOKE_DIR)

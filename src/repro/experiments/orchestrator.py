@@ -74,6 +74,7 @@ import copy
 import csv
 import dataclasses
 import enum
+import functools
 import hashlib
 import itertools
 import json
@@ -314,8 +315,28 @@ class RunSpec:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: the exact JSON-native leaf types: a canonical form keeps them as they
+#: are (infinities aside) and a record shares them instead of copying
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_INFINITIES = (math.inf, -math.inf)
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_field_names(cls: type) -> Tuple[str, ...]:
+    """A dataclass's field names, sorted (a pure function of the class)."""
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
+
 def _canonical(value: Any) -> Any:
-    """Make a (possibly nested) config value deterministic and JSON-safe."""
+    """Make a (possibly nested) config value deterministic and JSON-safe.
+
+    A dataclass instance becomes a dict of its fields in sorted name
+    order, each value canonicalised in turn: what the standard library's
+    ``asdict`` followed by a key sort gives, without deep-copying every
+    leaf first.
+    """
+    if type(value) in _SCALARS and value not in _INFINITIES:
+        return value
     if isinstance(value, enum.Enum):
         return _canonical(value.value)
     if isinstance(value, dict):
@@ -329,23 +350,29 @@ def _canonical(value: Any) -> Any:
     if isinstance(value, (str, int, bool)) or value is None:
         return value
     if dataclasses.is_dataclass(value):
-        return _canonical(dataclasses.asdict(value))
+        # a dataclass *class* as a value: type(value) is then its
+        # metaclass, which dataclasses.fields rejects with TypeError, as
+        # asdict rejects the class
+        return {
+            name: _canonical(getattr(value, name))
+            for name in _sorted_field_names(type(value))
+        }
     return repr(value)
 
 
 def canonical_config(config: ScenarioConfig) -> Dict[str, Any]:
     """Canonical dict of a scenario config, for hashing and artifacts.
 
-    :func:`_canonical` over ``dataclasses.asdict``, minus every
-    physical-layer section (:data:`~repro.experiments.scenarios.
-    PHY_SECTIONS`) whose component is not the one the config selects:
-    an inactive section cannot influence the run, and omitting it keeps
-    cache keys *and* exported spec blocks byte-stable across releases
-    that add phy sections.  (Sweeping ``sinr.capture_db`` under
-    ``radio="unit_disk"`` therefore deliberately collapses to one cache
-    entry -- the physics genuinely cannot differ.)
+    :func:`_canonical` of the config, minus every physical-layer section
+    (:data:`~repro.experiments.scenarios.PHY_SECTIONS`) whose component
+    is not the one the config selects: an inactive section cannot
+    influence the run, and omitting it keeps cache keys *and* exported
+    spec blocks byte-stable across releases that add phy sections.
+    (Sweeping ``sinr.capture_db`` under ``radio="unit_disk"`` therefore
+    deliberately collapses to one cache entry -- the physics genuinely
+    cannot differ.)
     """
-    data = _canonical(dataclasses.asdict(config))
+    data = _canonical(config)
     for section, selector in PHY_SECTIONS.items():
         if getattr(config, selector, None) != section:
             data.pop(section, None)
@@ -858,6 +885,27 @@ def merge_caches(
 # ---------------------------------------------------------------------------
 
 
+def _plain(value: Any) -> Any:
+    """The standard library ``asdict``'s conversion of a value, scalars shared.
+
+    Dicts, lists and tuples are rebuilt and a dataclass instance becomes
+    a dict of its fields in field order, so changing the result never
+    reaches the record.  A str, int, float, bool or None is returned
+    as is, which is all ``asdict``'s deep copy of it amounts to; any
+    other leaf is deep-copied, as ``asdict`` does.
+    """
+    if isinstance(value, dict):
+        return {k: v if type(v) in _SCALARS else _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        items = [v if type(v) in _SCALARS else _plain(v) for v in value]
+        return items if isinstance(value, list) else tuple(items)
+    if type(value) in _SCALARS:
+        return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return copy.deepcopy(value)
+
+
 @dataclass
 class RunResult:
     """The typed record one run produces.
@@ -890,7 +938,18 @@ class RunResult:
         return row
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        """The record as plain values, as ``asdict`` gives it, built field by field."""
+        return {
+            "run_id": self.run_id,
+            "params": _plain(self.params),
+            "seed": self.seed,
+            "duration": self.duration,
+            "metrics": _plain(self.metrics),
+            "wall_time": self.wall_time,
+            "from_cache": self.from_cache,
+            "cache_key": self.cache_key,
+            "adaptive_round": self.adaptive_round,
+        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
@@ -1138,7 +1197,7 @@ class PointConvergence:
     status: str                       #: converged | unconverged | incomplete
 
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        return _plain(self)
 
 
 @dataclass
@@ -1177,7 +1236,7 @@ class AdaptiveResult:
         """The convergence report block embedded in JSON artifacts."""
         return {
             "sweep": self.sweep,
-            "policy": dataclasses.asdict(self.policy),
+            "policy": _plain(self.policy),
             "executed": self.executed,
             "cached": self.cached,
             "total_runs": len(self.results),

@@ -277,15 +277,26 @@ class JsonStore(ResultStore):
         return _result_from_dict(data)
 
     def put(self, key: str, result: Any) -> None:
+        # encoded whole (by the C encoder) before the tmp file exists: a
+        # record JSON cannot encode raises here and leaves nothing behind
+        text = json.dumps(_result_to_dict(result))
         # unique tmp name: concurrent writers of the same key (shards or
         # sweeps sharing one cache directory, each publishing the same
         # deterministic result) must not share a tmp path, or the
         # loser's os.replace raises after the winner's rename already
         # consumed it
         tmp = f"{self._path(key)}.tmp-{uuid.uuid4().hex[:8]}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(_result_to_dict(result), fh)
-        os.replace(tmp, self._path(key))
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            # a failed write or rename must not strand its tmp file
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
+            raise
 
     def delete(self, key: str) -> None:
         try:

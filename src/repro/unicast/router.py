@@ -20,7 +20,9 @@ from repro.unicast import greedy
 #: Protocol identifier of the geographic unicast agent.
 GEO_PROTOCOL = "geo-unicast"
 
-#: Envelope overhead in bytes (destination id + position + mode + visited list).
+#: Envelope overhead in bytes (destination id + position + mode + visited
+#: list).  The greedy/recovery mode bit is modelled in this size only; the
+#: envelope's ``headers`` do not carry it, since no node reads it.
 _ENVELOPE_OVERHEAD = 24
 
 
@@ -54,11 +56,7 @@ class GeoUnicastAgent(ProtocolAgent):
             group=inner.group,
             destination=dest_node,
             payload=inner,
-            headers={
-                "dest_node": dest_node,
-                "visited": (self.node_id,),
-                "mode": "greedy",
-            },
+            headers={"dest_node": dest_node, "visited": (self.node_id,)},
             size_bytes=inner.size_bytes + _ENVELOPE_OVERHEAD,
             created_at=self.now,
             uid=inner.uid,
@@ -108,10 +106,7 @@ class GeoUnicastAgent(ProtocolAgent):
         visited = envelope.headers["visited"]
         next_hop = greedy.greedy_next_hop(my_pos, dest_pos, neighbors, exclude=visited)
         if next_hop is None:
-            envelope.headers["mode"] = "recovery"
             next_hop = greedy.recovery_next_hop(my_pos, dest_pos, neighbors, visited)
-        else:
-            envelope.headers["mode"] = "greedy"
         if next_hop is None:
             self.dropped_no_route += 1
             return

@@ -6,16 +6,33 @@ cache hit/miss behaviour, CSV/JSON export round-trips, aggregation, and
 the ``python -m repro.experiments`` CLI.
 """
 
+import collections
 import copy
 import dataclasses
+import enum
+import json
+import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.dsm import DsmConfig
+from repro.baselines.sgm import SgmConfig
+from repro.baselines.spbm import SpbmConfig
+from repro.core.membership import BroadcasterCriterion
+from repro.core.protocol import HVDBConfig, HVDBParameters
+from repro.core.qos import QoSRequirement
 from repro.experiments.orchestrator import (
+    AdaptiveCI,
+    AdaptiveResult,
+    PointConvergence,
     RunResult,
     SweepError,
     SweepSpec,
+    _canonical,
+    canonical_config,
     register_collector,
     execute_run,
     expand_spec,
@@ -27,8 +44,10 @@ from repro.experiments.orchestrator import (
     run_sweep,
     summarize,
 )
-from repro.experiments.scenarios import ScenarioConfig
+from repro.experiments.scenarios import PHY_SECTIONS, ScenarioConfig
+from repro.experiments.specs import available_specs
 from repro.experiments.stores import JsonStore
+from repro.simulation.phy import CsmaCaMacConfig, SinrRadioConfig
 
 
 def tiny_spec(**overrides) -> SweepSpec:
@@ -122,6 +141,235 @@ class TestCacheKey:
             ].cache_key(),
         }
         assert len(keys) == 4
+
+
+# A verbatim copy of the canonicaliser before it walked dataclass fields
+# itself: ``dataclasses.asdict`` first, then the sort.  The field walk
+# must give the same JSON text for every config, or cache keys move.
+
+
+def reference_canonical(value):
+    """Make a (possibly nested) config value deterministic and JSON-safe."""
+    if isinstance(value, enum.Enum):
+        return reference_canonical(value.value)
+    if isinstance(value, dict):
+        return {str(k): reference_canonical(value[k]) for k in sorted(value, key=str)}
+    if isinstance(value, (list, tuple)):
+        return [reference_canonical(v) for v in value]
+    if isinstance(value, float):
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return value
+    if isinstance(value, (str, int, bool)) or value is None:
+        return value
+    if dataclasses.is_dataclass(value):
+        return reference_canonical(dataclasses.asdict(value))
+    return repr(value)
+
+
+def reference_canonical_config(config):
+    data = reference_canonical(dataclasses.asdict(config))
+    for section, selector in PHY_SECTIONS.items():
+        if getattr(config, selector, None) != section:
+            data.pop(section, None)
+    return data
+
+
+def text(value) -> str:
+    """JSON text in insertion order: ``1``/``1.0``/``True`` and key order differ."""
+    return json.dumps(value)
+
+
+Pair = collections.namedtuple("Pair", "left right")
+
+_QOS = st.builds(
+    QoSRequirement,
+    max_delay=st.floats(min_value=1e-3, allow_infinity=True),
+    min_bandwidth=st.floats(min_value=0.0, max_value=1e9),
+)
+
+#: any value a config field or a swept parameter might hold
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.sampled_from(BroadcasterCriterion),
+    _QOS,
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner),
+        st.builds(Pair, inner, inner),
+        st.dictionaries(st.one_of(st.integers(-5, 5), st.text(max_size=3)), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_NUMBERS = st.one_of(
+    st.integers(min_value=0, max_value=500),
+    st.floats(allow_nan=False, allow_infinity=True),
+    st.booleans(),
+)
+_HVDB = st.builds(
+    HVDBConfig,
+    vc_cols=_NUMBERS,
+    dimension=_NUMBERS,
+    clustering_interval=_NUMBERS,
+    params=st.one_of(
+        st.none(),
+        st.builds(
+            HVDBParameters,
+            route_expiry=_NUMBERS,
+            broadcaster_criterion=st.sampled_from(BroadcasterCriterion),
+            max_logical_hops=_VALUES,
+        ),
+    ),
+    qos_requirements=st.dictionaries(st.integers(min_value=0, max_value=20), _QOS, max_size=3),
+)
+_CONFIGS = st.builds(
+    ScenarioConfig,
+    protocol=st.sampled_from(["hvdb", "flooding", "dsm"]),
+    radio=st.sampled_from(["unit_disk", "sinr", "other"]),
+    mac=st.sampled_from(["csma", "csma_ca", "ideal"]),
+    n_nodes=_NUMBERS,
+    area_size=_NUMBERS,
+    max_speed=_NUMBERS,
+    seed=st.integers(min_value=0, max_value=2**31),
+    group_size=_VALUES,
+    traffic_start=_NUMBERS,
+    hvdb=_HVDB,
+    sgm=st.builds(SgmConfig, fanout=_VALUES),
+    dsm=st.builds(DsmConfig, position_period=_NUMBERS),
+    spbm=st.builds(SpbmConfig, levels=_NUMBERS),
+    sinr=st.builds(SinrRadioConfig, capture_db=_NUMBERS, reference_loss_db=_VALUES),
+    csma_ca=st.builds(CsmaCaMacConfig, cw_min=_NUMBERS, duty_cycle=_NUMBERS),
+)
+
+
+class TestCanonicalMatchesReference:
+    def test_every_registered_run(self):
+        runs = [run for spec in available_specs() for run in expand_spec(spec)]
+        assert len(runs) > 300
+        for run in runs:
+            assert text(canonical_config(run.config)) == text(
+                reference_canonical_config(run.config)
+            ), run.run_id
+
+    def test_every_registered_base_and_grid_value(self):
+        for spec in available_specs():
+            assert text(canonical_config(spec.base)) == text(
+                reference_canonical_config(spec.base)
+            ), spec.name
+            for axis, values in spec.grid.items():
+                for value in values:
+                    assert text(_canonical(value)) == text(
+                        reference_canonical(value)
+                    ), (spec.name, axis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=_CONFIGS)
+    def test_drawn_configs(self, config):
+        assert text(canonical_config(config)) == text(reference_canonical_config(config))
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=_VALUES)
+    def test_drawn_values(self, value):
+        assert text(_canonical(value)) == text(reference_canonical(value))
+
+    def test_dataclass_class_is_rejected(self):
+        with pytest.raises(TypeError):
+            reference_canonical(QoSRequirement)
+        with pytest.raises(TypeError):
+            _canonical(QoSRequirement)
+        with pytest.raises(TypeError):
+            _canonical({"section": HVDBParameters})
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**63), max_value=2**63),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=8),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    ),
+    max_leaves=10,
+)
+_RESULTS = st.builds(
+    RunResult,
+    run_id=st.text(max_size=12),
+    params=st.dictionaries(
+        st.text(max_size=6),
+        st.one_of(_JSON_LEAVES, _QOS),
+        max_size=3,
+    ),
+    seed=st.integers(min_value=0, max_value=2**31),
+    duration=st.floats(allow_nan=True, allow_infinity=True),
+    metrics=st.dictionaries(st.text(max_size=8), _JSON_VALUES, max_size=6),
+    wall_time=st.floats(min_value=0.0, max_value=1e3),
+    from_cache=st.booleans(),
+    cache_key=st.text(alphabet="0123456789abcdef", max_size=64),
+    adaptive_round=st.integers(min_value=0, max_value=9),
+)
+
+
+def poke(value) -> None:
+    """Change every container inside ``value``, in place."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            poke(item)
+        value["poked"] = True
+    elif isinstance(value, list):
+        for item in value:
+            poke(item)
+        value.append("poked")
+
+
+class TestRecordMatchesAsdict:
+    @settings(max_examples=200, deadline=None)
+    @given(result=_RESULTS)
+    def test_to_dict_text_equals_asdict(self, result):
+        assert text(result.to_dict()) == text(dataclasses.asdict(result))
+        # tuples stay tuples; a NaN is one shared object, so equal to itself
+        assert result.to_dict() == dataclasses.asdict(result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(result=_RESULTS)
+    def test_changing_the_dict_leaves_the_result_unchanged(self, result):
+        before = text(dataclasses.asdict(result))
+        poke(result.to_dict())
+        assert text(dataclasses.asdict(result)) == before
+
+    def test_keys_are_the_field_names_in_order(self):
+        result = RunResult(run_id="x", params={}, seed=1, duration=1.0, metrics={})
+        assert list(result.to_dict()) == [f.name for f in dataclasses.fields(RunResult)]
+
+    def test_adaptive_report_equals_asdict(self):
+        policy = AdaptiveCI(target_half_width=0.05, metric="pdr", growth=1.5)
+        point = PointConvergence(
+            point="n_nodes=10",
+            params={"n_nodes": 10, "variant": "fast"},
+            n_seeds=4,
+            rounds=2,
+            mean=0.8,
+            half_width=float("inf"),
+            target=0.05,
+            status="unconverged",
+        )
+        report = AdaptiveResult(sweep="s", policy=policy, points=[point]).to_dict()
+        assert text(report["policy"]) == text(dataclasses.asdict(policy))
+        assert text(report["points"]) == text([dataclasses.asdict(point)])
+        report["points"][0]["params"]["n_nodes"] = 99
+        assert point.params["n_nodes"] == 10
 
 
 class TestDeterminism:

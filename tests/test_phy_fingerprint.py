@@ -9,13 +9,14 @@ became interference-aware, then extended with the new ``sinr`` /
   (radio, MAC) combination; every metric in ``MetricsReport.flat_row()``
   must match the golden value exactly.  Any change to propagation, MAC
   arithmetic, rng-draw order or the transmit path shows up here.
-* **Cache keys** -- for every spec captured in the golden, the full
-  sequence of run cache keys must hash to the recorded digest.  Adding
-  the phy config sections must not re-key (and therefore re-run) any
-  pre-existing sweep.
-* **Artifact bytes** -- a tiny sweep's exported CSV and its canonical
-  config blob must hash to the recorded values, proving artifacts stay
-  byte-identical, not merely numerically equal.
+* **Cache keys** -- for every registered spec, the full sequence of
+  run cache keys must hash to the recorded digest.  Adding the phy
+  config sections must not re-key (and therefore re-run) any
+  pre-existing sweep, and the specs whose keys carry an active
+  ``sinr``/``csma_ca`` section are pinned like every other.
+* **Artifact bytes** -- a tiny sweep's exported CSV and JSON documents
+  and its canonical config blob must hash to the recorded values,
+  proving artifacts stay byte-identical, not merely numerically equal.
 
 Regenerate deliberately (after an intended physics change) with::
 
@@ -40,11 +41,12 @@ from repro.experiments.orchestrator import (
     canonical_config,
     expand_spec,
     export_csv,
+    export_json,
     run_sweep,
 )
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import ScenarioConfig
-from repro.experiments.specs import get_spec
+from repro.experiments.specs import available_specs, get_spec
 from repro.registry import MACS, RADIOS
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "phy_fingerprints.json"
@@ -113,13 +115,36 @@ def spec_key_digest(name: str) -> dict:
     }
 
 
-def artifact_csv_sha256() -> str:
+def artifact_results() -> list:
+    """The artifact sweep's results, ``wall_time`` zeroed.
+
+    ``wall_time`` is the one measured (not simulated) value in a record,
+    and the JSON document carries it.
+    """
     results = run_sweep(artifact_spec(), workers=1, executor="serial")
+    for result in results:
+        result.wall_time = 0.0
+    return results
+
+
+def file_sha256(write) -> str:
+    """sha256 of the file ``write(path)`` creates."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "artifact.csv")
-        export_csv(results, path)
+        path = os.path.join(tmp, "artifact")
+        write(path)
         with open(path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
+
+
+def artifact_csv_sha256() -> str:
+    return file_sha256(lambda path: export_csv(artifact_results(), path))
+
+
+def artifact_json_sha256() -> str:
+    """The JSON document, spec block included."""
+    return file_sha256(
+        lambda path: export_json(artifact_results(), path, spec=artifact_spec())
+    )
 
 
 def base_canonical_sha256() -> str:
@@ -139,6 +164,16 @@ def test_golden_covers_every_registered_combo():
     """
     expected = {f"{r}+{m}" for r in RADIOS.names() for m in MACS.names()}
     assert set(GOLDEN["combos"]) == expected
+
+
+def test_golden_covers_every_registered_spec():
+    """Every registered spec must have a golden cache-key digest.
+
+    Registering a spec without recording its keys fails here, so a
+    canonicaliser change cannot re-key an unpinned sweep unnoticed.
+    """
+    expected = {spec.name for spec in available_specs()}
+    assert set(GOLDEN["cache_keys"]) == expected
 
 
 @pytest.mark.parametrize("combo", sorted(GOLDEN["combos"]))
@@ -172,6 +207,10 @@ def test_artifact_csv_bytes_match_golden():
     assert artifact_csv_sha256() == GOLDEN["artifact_csv_sha256"]
 
 
+def test_artifact_json_bytes_match_golden():
+    assert artifact_json_sha256() == GOLDEN["artifact_json_sha256"]
+
+
 def test_base_canonicalisation_matches_golden():
     """The canonical config blob for a classic scenario is byte-stable.
 
@@ -196,9 +235,10 @@ def regenerate() -> None:
     for radio in RADIOS.names():
         for mac in MACS.names():
             doc["combos"][f"{radio}+{mac}"] = combo_fingerprint(radio, mac)
-    for name in sorted(GOLDEN["cache_keys"]):
-        doc["cache_keys"][name] = spec_key_digest(name)
+    for spec in available_specs():
+        doc["cache_keys"][spec.name] = spec_key_digest(spec.name)
     doc["artifact_csv_sha256"] = artifact_csv_sha256()
+    doc["artifact_json_sha256"] = artifact_json_sha256()
     doc["base_canonical_sha256"] = base_canonical_sha256()
     with open(GOLDEN_PATH, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

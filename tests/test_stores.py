@@ -12,6 +12,8 @@ counted and re-executed instead of crashing, and ``merge_caches``
 migrates between backends.
 """
 
+import dataclasses
+import io
 import json
 import os
 import sqlite3
@@ -172,6 +174,48 @@ class TestRoundTrip:
         first = (tmp_path / "j" / f"{original.cache_key}.json").read_bytes()
         second = (tmp_path / "j" / ("b" * 64 + ".json")).read_bytes()
         assert first == second
+
+
+class TestJsonEntryBytes:
+    def test_entry_equals_the_streamed_encoding(self, tmp_path):
+        """One C-encoder pass writes what ``json.dump`` streamed before."""
+        store = JsonStore(str(tmp_path / "c"))
+        result = fake_result(
+            2,
+            run_id="tiny/ünïcode/✓",
+            metrics={
+                "pdr": float("nan"),
+                "max_delay": float("inf"),
+                "hist": [1, 2.5, None, True],
+                "nested": {"a": [{"b": -0.0}], "é": "x"},
+            },
+        )
+        store.put(result.cache_key, result)
+        streamed = io.StringIO()
+        json.dump({**dataclasses.asdict(result), "from_cache": False}, streamed)
+        entry = tmp_path / "c" / f"{result.cache_key}.json"
+        assert entry.read_text(encoding="utf-8") == streamed.getvalue()
+
+    def test_failed_encode_leaves_nothing_behind(self, tmp_path):
+        store = JsonStore(str(tmp_path / "c"))
+        before = sorted(os.listdir(tmp_path / "c"))
+        with pytest.raises(TypeError):
+            store.put("k" * 64, fake_result(metrics={"members": {1, 2}}))
+        assert sorted(os.listdir(tmp_path / "c")) == before
+        store.put("k" * 64, fake_result(3))
+        assert store.get("k" * 64).seed == 3
+        assert os.listdir(tmp_path / "c") == ["k" * 64 + ".json"]
+
+    def test_failed_rename_removes_its_tmp_file(self, tmp_path, monkeypatch):
+        store = JsonStore(str(tmp_path / "c"))
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            store.put("k" * 64, fake_result())
+        assert os.listdir(tmp_path / "c") == []
 
 
 class TestCorruption:
