@@ -5,7 +5,7 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test bench-smoke adaptive-smoke net-smoke store-smoke phy-smoke perf-check bench docs-check docs-links sweeps protocols protocol-coverage check ci
+.PHONY: test bench-smoke adaptive-smoke store-smoke phy-smoke perf-check bench docs-check docs-links sweeps protocols protocol-coverage check ci
 
 ## tier-1 test suite (fast, deterministic) -- must stay green
 test:
@@ -21,13 +21,6 @@ bench-smoke:
 ## zero-executions-on-warm-cache invariant, under pytest
 adaptive-smoke:
 	$(PYTHON) -m pytest -q benchmarks/bench_s1_adaptive_smoke.py
-
-## seconds-long churn drill for the tcp executor: the smoke grid
-## drained over TCP by two externally attached --connect workers, one
-## of them SIGKILLed mid-sweep; the artifacts must byte-match a
-## process-executor run and a warm re-run must execute nothing
-net-smoke:
-	$(PYTHON) scripts/net_smoke.py
 
 ## seconds-long end-to-end check of the result-store backends: the
 ## smoke grid run against a sqlite store must export CSV/JSON artifacts
@@ -132,18 +125,16 @@ protocol-coverage:
 
 ## everything a PR must keep green: tier-1, the smoke gates, the
 ## benchmark's correctness and wall-time gate, docs and coverage
-check: test bench-smoke adaptive-smoke net-smoke store-smoke phy-smoke perf-check docs-check protocol-coverage
+check: test bench-smoke adaptive-smoke store-smoke phy-smoke perf-check docs-check protocol-coverage
 
 ## reproduce the CI pipeline (.github/workflows/ci.yml) locally:
 ## tier-1 tests, docs consistency (links included), the smoke sweep
 ## split across three share-nothing shards, a merge that must
 ## reassemble the full grid, the adaptive smoke sweep (run + a
-## warm-cache re-run that must execute zero runs), the tcp-executor
-## churn drill (a --connect worker SIGKILLed mid-sweep,
-## byte-identical artifacts anyway), the result-store smoke (sqlite vs
-## json byte-equality + migrate), the physical-layer smoke (3x3
-## radio/MAC grid, warm zero-exec replay, golden fingerprints), the
-## benchmark gate (every perfbench workload reproduces its reference
+## warm-cache re-run that must execute zero runs), the result-store
+## smoke (sqlite vs json byte-equality + migrate), the physical-layer
+## smoke (3x3 radio/MAC grid, warm zero-exec replay, golden
+## fingerprints), the benchmark gate (every perfbench workload reproduces its reference
 ## under its wall-time ceiling) and the paper's claims (make bench)
 CI_DIR := .ci
 ci: test docs-check protocol-coverage
@@ -161,9 +152,8 @@ ci: test docs-check protocol-coverage
 	  --cache-dir $(CI_DIR)/adaptive --format none \
 	  | grep -q "; 0 executed +" \
 	  || { echo "adaptive gate: warm-cache re-run executed runs (expected 0)"; exit 1; }
-	$(MAKE) net-smoke
 	$(MAKE) store-smoke
 	$(MAKE) phy-smoke
 	$(MAKE) perf-check
 	$(MAKE) bench
-	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, adaptive, net, store, phy, perf-check, paper claims)"
+	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, adaptive, store, phy, perf-check, paper claims)"

@@ -21,13 +21,6 @@
   backends behind :func:`run_sweep`: in-process ``serial`` and the
   default ``process`` pool; the backend choice never enters cache keys,
   so results are byte-identical across executors.
-* :mod:`repro.experiments.net` -- the networked ``tcp`` executor, the
-  one way to spread a sweep over several machines: a driver-side
-  :class:`Coordinator` leases runs over length-prefixed, versioned
-  protocol frames to workers on any reachable machine (``python -m
-  repro.experiments worker --connect HOST:PORT``), with heartbeats,
-  stale-lease reclaim and streamed results.  The lease state machine
-  lives in :mod:`repro.experiments.leases`.
 * :mod:`repro.experiments.specs` -- the registry of named sweeps (the
   benchmark grids E2/E3/E5/E6/E7/E8/A1/A2, the example scenarios, a
   smoke sweep) plus their registered hooks and collectors.
@@ -43,9 +36,9 @@
   ``list`` / ``run`` / ``resume`` / ``export`` / ``merge`` /
   ``migrate`` / ``protocols`` (registered components + spec-coverage check) /
   ``executors`` (registered backends) / ``stores`` (registered result
-  stores) / ``worker`` (attach to a tcp coordinator with
-  ``--connect``), with ``--shard I/N`` splitting a grid across
-  share-nothing CI jobs, ``--executor NAME`` picking the execution
+  stores), with ``--shard I/N`` splitting a grid across
+  share-nothing jobs (the way to spread a sweep over several
+  machines), ``--executor NAME`` picking the execution
   backend and ``--store NAME`` the persistence backend.
 
 Minimal single run::
@@ -82,23 +75,9 @@ from repro.experiments.executors import (
     DEFAULT_EXECUTOR,
     EXECUTORS,
     Executor,
-    WorkerTaskError,
     available_executors,
     make_executor,
     register_executor,
-)
-from repro.experiments.leases import (
-    DEFAULT_STALE_AFTER,
-    ExecutorStats,
-    LeaseTable,
-)
-from repro.experiments.net import (
-    PROTOCOL_VERSION,
-    Coordinator,
-    NetWorkerError,
-    ProtocolError,
-    TcpExecutor,
-    run_net_worker,
 )
 from repro.experiments.orchestrator import (
     SweepSpec,
@@ -191,19 +170,9 @@ __all__ = [
     "DEFAULT_EXECUTOR",
     "EXECUTORS",
     "Executor",
-    "WorkerTaskError",
     "available_executors",
     "make_executor",
     "register_executor",
-    "DEFAULT_STALE_AFTER",
-    "ExecutorStats",
-    "LeaseTable",
-    "PROTOCOL_VERSION",
-    "Coordinator",
-    "NetWorkerError",
-    "ProtocolError",
-    "TcpExecutor",
-    "run_net_worker",
     "parse_shard",
     "shard_runs",
     "shard_points",

@@ -8,24 +8,18 @@
     python -m repro.experiments stores
     python -m repro.experiments run SWEEP [--executor NAME] [--store NAME] ...
     python -m repro.experiments resume SWEEP [...]
-    python -m repro.experiments worker --connect HOST:PORT
     python -m repro.experiments export SWEEP --out DIR [...]
     python -m repro.experiments merge SWEEP --cache-dir DEST --from DIR ...
     python -m repro.experiments migrate --from SPEC --to SPEC
 
 ``run`` executes a registered sweep (see ``list``) through a registered
-*executor backend* (see ``executors``: in-process ``serial``, the
-default ``process`` pool, or a networked ``tcp`` coordinator drained by
-workers on any machine that can reach ``--host``/``--port``), caching
-finished runs under ``--cache-dir`` so an interrupted or repeated
-invocation only executes what is missing; ``resume`` is ``run`` with
-the additional guarantee that it refuses to start from a cold cache
-(catching a mistyped ``--cache-dir``).  ``worker --connect HOST:PORT``
-attaches to a live ``tcp`` sweep and executes the runs it leases over
-the socket until the driver closes the sweep (see
-``docs/executors.md`` and ``docs/networked-executor.md``).
-``export`` rebuilds the CSV/JSON artifacts purely from cached results
-without running anything.
+*executor backend* (see ``executors``: in-process ``serial`` or the
+default ``process`` pool; ``docs/executors.md``), caching finished runs
+under ``--cache-dir`` so an interrupted or repeated invocation only
+executes what is missing; ``resume`` is ``run`` with the additional
+guarantee that it refuses to start from a cold cache (catching a
+mistyped ``--cache-dir``).  ``export`` rebuilds the CSV/JSON artifacts
+purely from cached results without running anything.
 
 The cache lives behind a registered *result-store backend* (see
 ``stores``; ``docs/result-store.md``): everywhere a cache path is
@@ -65,13 +59,6 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.experiments.executors import DEFAULT_EXECUTOR, available_executors
-from repro.experiments.net import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    NetWorkerError,
-    parse_address,
-    run_net_worker,
-)
 from repro.experiments.orchestrator import (
     AdaptiveCI,
     AdaptiveResult,
@@ -204,9 +191,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=max(1, min(4, os.cpu_count() or 1)),
-            help="backend parallelism: pool size for process, locally "
-            "spawned worker processes for tcp (0 = rely on externally "
-            "attached workers); default: min(4, cpu count)",
+            help="pool size for the process executor; 1 runs in-process "
+            "(default: min(4, cpu count))",
         )
         p.add_argument(
             "--executor",
@@ -214,19 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="NAME",
             help="run-execution backend (see `executors`; "
             f"default: {DEFAULT_EXECUTOR})",
-        )
-        p.add_argument(
-            "--host",
-            default=DEFAULT_HOST,
-            help="tcp executor only: coordinator bind address "
-            f"(default: {DEFAULT_HOST}; use 0.0.0.0 for remote workers)",
-        )
-        p.add_argument(
-            "--port",
-            type=int,
-            default=DEFAULT_PORT,
-            help="tcp executor only: coordinator port workers --connect to "
-            f"(default: {DEFAULT_PORT}; 0 = ephemeral)",
         )
         p.add_argument(
             "--no-cache",
@@ -293,49 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="backend for bare paths on both sides (see `stores`); "
         "per-path prefixes win",
-    )
-
-    p = sub.add_parser(
-        "worker",
-        help="attach to a live tcp sweep (--connect HOST:PORT) and execute "
-        "the runs its coordinator leases, on this or any other machine",
-    )
-    p.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="address of the tcp-executor coordinator (lease staleness "
-        "is judged there)",
-    )
-    p.add_argument(
-        "--worker-id",
-        default=None,
-        help="lease-owner label (default: <hostname>-<pid>)",
-    )
-    p.add_argument(
-        "--poll-interval",
-        type=float,
-        default=0.5,
-        help="seconds between requests for work while none is leasable "
-        "(default: 0.5)",
-    )
-    p.add_argument(
-        "--max-tasks",
-        type=int,
-        default=None,
-        help="exit after executing this many runs (default: unlimited)",
-    )
-    p.add_argument(
-        "--forever",
-        action="store_true",
-        help="keep serving sweep after sweep: reconnect after the "
-        "coordinator says goodbye instead of exiting",
-    )
-    p.add_argument(
-        "--quiet",
-        action="store_true",
-        help="suppress per-run progress output (used by drivers spawned "
-        "without --progress)",
     )
 
     return parser
@@ -580,29 +510,6 @@ def _cmd_stores() -> int:
     return 0
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    try:
-        address = parse_address(args.connect)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if not args.quiet:
-        print(
-            f"worker: connecting to coordinator at {args.connect}",
-            file=sys.stderr,
-        )
-    executed = run_net_worker(
-        address,
-        worker_id=args.worker_id,
-        poll_interval=args.poll_interval,
-        max_tasks=args.max_tasks,
-        forever=args.forever,
-        progress=not args.quiet,
-    )
-    if not args.quiet:
-        print(f"worker: executed {executed} run(s) from {args.connect}")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
     spec = _customize(get_spec(args.sweep), args)
     cache_dir: Optional[str] = None if args.no_cache else args.cache_dir
@@ -615,15 +522,6 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
         )
         return 2
     shard = parse_shard(args.shard) if args.shard else None
-    # only the tcp backend takes options; run_sweep resolves the name
-    # eagerly (RegistryError with alternatives) before any state is
-    # touched
-    executor_options = {}
-    if args.executor == "tcp":
-        # the tcp coordinator streams results back to this process; the
-        # result store stays driver-local and never crosses the wire
-        executor_options["host"] = args.host
-        executor_options["port"] = args.port
     policy = _adaptive_policy(spec, args)
     adaptive: Optional[AdaptiveResult] = None
     if policy is not None:
@@ -636,7 +534,6 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
             shard=shard,
             policy=policy,
             executor=args.executor,
-            executor_options=executor_options,
             store=args.store,
         )
         results = adaptive.results
@@ -649,7 +546,6 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
             progress=True,
             shard=shard,
             executor=args.executor,
-            executor_options=executor_options,
             store=args.store,
         )
     _print_summary(spec, results)
@@ -773,8 +669,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_executors()
         if args.command == "stores":
             return _cmd_stores()
-        if args.command == "worker":
-            return _cmd_worker(args)
         if args.command == "run":
             return _cmd_run(args, require_cache=False)
         if args.command == "resume":
@@ -785,12 +679,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_merge(args)
         if args.command == "migrate":
             return _cmd_migrate(args)
-    except (CliError, SpecError, StoreError, RegistryError, NetWorkerError) as exc:
+    except (CliError, SpecError, StoreError, RegistryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        # a worker is normally detached by Ctrl-C; its completed work
-        # is already streamed back, so this is a clean exit
+        # `record` caches each run as it completes, so a Ctrl-C'd `run`
+        # has already cached every completed run and a re-run resumes
+        # from them: report the interrupt, not a traceback
         print(f"{args.command}: interrupted", file=sys.stderr)
         return 130
     except KeyError as exc:

@@ -12,11 +12,10 @@ is the engine that executes such grids:
   (the cross product of every grid axis and every seed, with
   deterministic per-run RNG seeding).
 * :func:`run_sweep` -- execute the runs through a registered *executor
-  backend* (:mod:`repro.experiments.executors`: in-process ``serial``, a
-  ``process`` pool -- the default -- or the networked ``tcp``
-  coordinator whose workers run on any reachable machine), with an
-  on-disk result cache keyed by a content hash of (config, duration,
-  seed, code version) so re-running a sweep only executes what changed.
+  backend* (:mod:`repro.experiments.executors`: in-process ``serial`` or
+  a ``process`` pool -- the default), with an on-disk result cache
+  keyed by a content hash of (config, duration, seed, code version) so
+  re-running a sweep only executes what changed.
   The cache itself lives behind a registered *store* backend
   (:mod:`repro.experiments.stores`: a ``json`` file directory -- the
   default -- or a single-file columnar ``sqlite`` table).  Both
@@ -1004,36 +1003,24 @@ def _log(progress: bool, message: str) -> None:
         print(message, file=sys.stderr, flush=True)
 
 
-def _log_churn(backend: Optional[Executor], label: str, progress: bool) -> None:
-    """Surface a work-stealing backend's robustness counters, if any.
-
-    In-process backends report None and stay silent; tcp sweeps that
-    survived worker churn say so in one summary line (leases reclaimed,
-    runs re-executed, workers seen/lost).
-    """
-    stats = backend.stats() if backend is not None else None
-    if stats:
-        _log(progress, f"[{label}] churn: {stats.describe()}")
-
-
 def _execute_pending(
+    backend: Optional[Executor],
     pending: Sequence[tuple],
     workers: int,
     record: Callable[[Any, RunResult], None],
     label: str,
     progress: bool,
-    executor: Optional[Executor] = None,
 ) -> List[tuple]:
-    """Execute ``(key, RunSpec)`` pairs, calling ``record`` per result.
+    """Execute ``(key, RunSpec)`` pairs on ``backend``, calling ``record`` per result.
 
-    The shared engine under :func:`run_sweep` and the adaptive loop,
-    shrunk to a dispatch through the executor registry
-    (:mod:`repro.experiments.executors`; ``executor=None`` instantiates
-    the default backend for this batch).  Every backend honours the same
-    drain contract: completed work is always recorded (and thereby
-    cached) even when other runs fail, failures are logged through the
-    same progress stream, and the ``(run_id, exception)`` failures are
-    returned for the caller to raise on.
+    The shared engine under :func:`run_sweep` and the adaptive loop: a
+    dispatch through the executor registry
+    (:mod:`repro.experiments.executors`; ``backend`` may be None only
+    when nothing is pending, as in a cache-only replay).  Every backend
+    honours the same drain contract: completed work is always recorded
+    (and thereby cached) even when other runs fail, failures are logged
+    through the same progress stream, and the ``(run_id, exception)``
+    failures are returned for the caller to raise on.
     """
     failures: List[tuple] = []
 
@@ -1041,22 +1028,8 @@ def _execute_pending(
         failures.append((run.run_id, exc))
         _log(progress, f"[{label}] FAILED {run.run_id}: {exc!r}")
 
-    owned = executor is None
-    backend = executor if executor is not None else make_executor(None)
-    try:
-        if pending:
-            backend.map_runs(
-                list(pending),
-                execute_run,
-                record,
-                fail,
-                workers=workers,
-                label=label,
-                progress=progress,
-            )
-    finally:
-        if owned:
-            backend.close()
+    if pending:
+        backend.map_runs(list(pending), execute_run, record, fail, workers=workers)
     return failures
 
 
@@ -1068,7 +1041,6 @@ def run_sweep(
     progress: bool = False,
     shard: Optional[Tuple[int, int]] = None,
     executor: Optional[str] = None,
-    executor_options: Optional[Mapping[str, Any]] = None,
     store: Optional[str] = None,
     store_options: Optional[Mapping[str, Any]] = None,
 ) -> List[RunResult]:
@@ -1077,13 +1049,10 @@ def run_sweep(
     ``executor`` names the registered execution backend (default
     ``process``), resolved eagerly -- an unknown name raises
     :class:`~repro.registry.RegistryError` listing the alternatives
-    before anything executes.  ``executor_options`` are
-    backend keyword arguments (the ``tcp`` backend takes ``host``/``port``
-    etc.).  ``workers`` is the backend's parallelism: pool size for
-    ``process``, locally spawned worker processes for ``tcp`` (0 =
-    externally attached workers only), ignored by ``serial``.  The
-    backend never enters cache keys or artifacts, so results are
-    byte-identical across executors.
+    before anything executes.  ``workers`` is the backend's parallelism:
+    pool size for ``process`` (1 runs in-process), ignored by
+    ``serial``.  The backend never enters cache keys or artifacts, so
+    results are byte-identical across executors.
 
     With ``cache_dir`` set, completed runs are persisted and later
     invocations only execute cache misses (``force=True`` re-runs
@@ -1108,56 +1077,49 @@ def run_sweep(
         runs = shard_runs(runs, *shard)
         label = f"{spec.name} shard {shard[0]}/{shard[1]}"
     validate_runs(runs)
-    backend = make_executor(executor, **dict(executor_options or {}))
-    try:
-        cache = _open_cache(cache_dir, store, store_options)
+    backend = make_executor(executor)
+    cache = _open_cache(cache_dir, store, store_options)
 
-        results: Dict[int, RunResult] = {}
-        pending: List[tuple] = []          # (index, RunSpec)
-        keyed = [(index, run, run.cache_key()) for index, run in enumerate(runs)]
-        hits = (
-            _resolve_cached(cache, keyed)  # one batch scan, not N point reads
-            if cache is not None and not force
-            else {}
-        )
-        for index, run, _key in keyed:
-            cached = hits.get(index)
-            if cached is not None:
-                _restamp(cached, run)      # cosmetic: report under this sweep's id
-                results[index] = cached
-            else:
-                pending.append((index, run))
+    results: Dict[int, RunResult] = {}
+    pending: List[tuple] = []          # (index, RunSpec)
+    keyed = [(index, run, run.cache_key()) for index, run in enumerate(runs)]
+    hits = (
+        _resolve_cached(cache, keyed)  # one batch scan, not N point reads
+        if cache is not None and not force
+        else {}
+    )
+    for index, run, _key in keyed:
+        cached = hits.get(index)
+        if cached is not None:
+            _restamp(cached, run)      # cosmetic: report under this sweep's id
+            results[index] = cached
+        else:
+            pending.append((index, run))
 
-        hit_count = len(runs) - len(pending)
+    hit_count = len(runs) - len(pending)
+    _log(
+        progress,
+        f"[{label}] {len(runs)} runs: {hit_count} cache hits, "
+        f"{len(pending)} to execute on {backend.describe(workers)}",
+    )
+
+    done = 0
+
+    def record(index: int, result: RunResult) -> None:
+        nonlocal done
+        results[index] = result
+        if cache is not None:
+            cache.put(result.cache_key, result)
+        done += 1
+        pdr = result.metrics.get("pdr")
+        pdr_note = f" pdr={pdr:.3f}" if isinstance(pdr, float) else ""
         _log(
             progress,
-            f"[{label}] {len(runs)} runs: {hit_count} cache hits, "
-            f"{len(pending)} to execute on {backend.describe(workers)}",
+            f"[{label}] ({done}/{len(pending)}) {result.run_id}"
+            f"{pdr_note} ({result.wall_time:.1f}s)",
         )
 
-        done = 0
-
-        def record(index: int, result: RunResult) -> None:
-            nonlocal done
-            results[index] = result
-            if cache is not None:
-                cache.put(result.cache_key, result)
-            done += 1
-            pdr = result.metrics.get("pdr")
-            pdr_note = f" pdr={pdr:.3f}" if isinstance(pdr, float) else ""
-            _log(
-                progress,
-                f"[{label}] ({done}/{len(pending)}) {result.run_id}"
-                f"{pdr_note} ({result.wall_time:.1f}s)",
-            )
-
-        failures = _execute_pending(
-            pending, workers, record, label, progress, executor=backend
-        )
-    finally:
-        backend.close()
-
-    _log_churn(backend, label, progress)
+    failures = _execute_pending(backend, pending, workers, record, label, progress)
     if failures:
         completed = len(runs) - len(failures)
         detail = "; ".join(f"{run_id}: {exc!r}" for run_id, exc in failures[:5])
@@ -1388,9 +1350,7 @@ def _adaptive_sweep(
                 f"({result.wall_time:.1f}s)",
             )
 
-        failures = _execute_pending(
-            pending, workers, record, label, progress, executor=backend
-        )
+        failures = _execute_pending(backend, pending, workers, record, label, progress)
         report.executed += len(pending) - len(failures)
         if failures:
             detail = "; ".join(f"{rid}: {exc!r}" for rid, exc in failures[:5])
@@ -1463,7 +1423,6 @@ def _adaptive_sweep(
             )
         )
     _warn_corrupt(cache, label, progress)
-    _log_churn(backend, label, progress)
     _log(
         progress,
         f"[{label}] done: {len(report.converged)}/{len(points)} point(s) "
@@ -1483,7 +1442,6 @@ def run_sweep_adaptive(
     shard: Optional[Tuple[int, int]] = None,
     policy: Optional[AdaptiveCI] = None,
     executor: Optional[str] = None,
-    executor_options: Optional[Mapping[str, Any]] = None,
     store: Optional[str] = None,
     store_options: Optional[Mapping[str, Any]] = None,
 ) -> AdaptiveResult:
@@ -1499,11 +1457,10 @@ def run_sweep_adaptive(
     execution, so resuming, re-running, and replaying merged shard caches
     all cost zero executions once warm.
 
-    ``executor``/``executor_options`` choose the execution backend
-    exactly as in :func:`run_sweep` (one backend instance serves every
-    adaptive round, so tcp workers stay attached across rounds);
-    ``store``/``store_options`` choose the result-store backend exactly
-    as in :func:`run_sweep`.
+    ``executor`` chooses the execution backend exactly as in
+    :func:`run_sweep` (one backend instance serves every adaptive
+    round); ``store``/``store_options`` choose the result-store backend
+    exactly as in :func:`run_sweep`.
 
     ``shard=(index, count)`` restricts the sweep to a round-robin shard
     of the *grid points* (seeds of one point never split across jobs --
@@ -1516,22 +1473,18 @@ def run_sweep_adaptive(
             f"sweep {spec.name!r} has no adaptive replication policy: attach "
             "SweepSpec(replication=AdaptiveCI(...)) or pass policy="
         )
-    backend = make_executor(executor, **dict(executor_options or {}))
-    try:
-        cache = _open_cache(cache_dir, store, store_options)
-        report, _missing = _adaptive_sweep(
-            spec,
-            policy,
-            workers=workers,
-            cache=cache,
-            force=force,
-            progress=progress,
-            shard=shard,
-            cache_only=False,
-            backend=backend,
-        )
-    finally:
-        backend.close()
+    backend = make_executor(executor)
+    report, _missing = _adaptive_sweep(
+        spec,
+        policy,
+        workers=workers,
+        cache=_open_cache(cache_dir, store, store_options),
+        force=force,
+        progress=progress,
+        shard=shard,
+        cache_only=False,
+        backend=backend,
+    )
     return report
 
 
