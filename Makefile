@@ -5,7 +5,7 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test bench-smoke adaptive-smoke store-smoke phy-smoke perf-check bench docs-check docs-links sweeps protocols protocol-coverage check ci
+.PHONY: test bench-smoke adaptive-smoke phy-smoke perf-check bench docs-check docs-links sweeps protocols protocol-coverage check ci
 
 ## tier-1 test suite (fast, deterministic) -- must stay green
 test:
@@ -21,31 +21,6 @@ bench-smoke:
 ## zero-executions-on-warm-cache invariant, under pytest
 adaptive-smoke:
 	$(PYTHON) -m pytest -q benchmarks/bench_s1_adaptive_smoke.py
-
-## seconds-long end-to-end check of the result-store backends: the
-## smoke grid run against a sqlite store must export CSV/JSON artifacts
-## byte-identical to a json-store run, a warm sqlite re-run must execute
-## nothing, migrate must round-trip the cache between backends, and the
-## store benchmark logs the json-vs-sqlite batch-scan ratio
-STORE_SMOKE_DIR := .ci/store-smoke
-store-smoke:
-	rm -rf $(STORE_SMOKE_DIR)
-	$(PYTHON) -m repro.experiments run smoke \
-	  --cache-dir $(STORE_SMOKE_DIR)/json-cache --out $(STORE_SMOKE_DIR)/json
-	$(PYTHON) -m repro.experiments run smoke \
-	  --cache-dir sqlite:$(STORE_SMOKE_DIR)/cache.db --out $(STORE_SMOKE_DIR)/sqlite
-	cmp $(STORE_SMOKE_DIR)/json/smoke.csv $(STORE_SMOKE_DIR)/sqlite/smoke.csv
-	$(PYTHON) -m repro.experiments run smoke \
-	  --cache-dir sqlite:$(STORE_SMOKE_DIR)/cache.db --format none 2>&1 \
-	  | grep -q "done: 12 cached + 0 executed" \
-	  || { echo "store gate: warm sqlite re-run executed runs (expected 0)"; exit 1; }
-	$(PYTHON) -m repro.experiments migrate \
-	  --from sqlite:$(STORE_SMOKE_DIR)/cache.db --to $(STORE_SMOKE_DIR)/migrated
-	$(PYTHON) -m repro.experiments export smoke \
-	  --cache-dir $(STORE_SMOKE_DIR)/migrated --out $(STORE_SMOKE_DIR)/migrated-out
-	cmp $(STORE_SMOKE_DIR)/sqlite/smoke.csv $(STORE_SMOKE_DIR)/migrated-out/smoke.csv
-	$(PYTHON) scripts/store_bench.py
-	@echo "make store-smoke: OK (byte-identical artifacts across stores, warm sqlite replay, migrate round-trip)"
 
 ## seconds-long end-to-end check of the physical layer: the phy_smoke
 ## sweep (one run per registered radio x MAC combination, sinr and
@@ -125,14 +100,13 @@ protocol-coverage:
 
 ## everything a PR must keep green: tier-1, the smoke gates, the
 ## benchmark's correctness and wall-time gate, docs and coverage
-check: test bench-smoke adaptive-smoke store-smoke phy-smoke perf-check docs-check protocol-coverage
+check: test bench-smoke adaptive-smoke phy-smoke perf-check docs-check protocol-coverage
 
 ## reproduce the CI pipeline (.github/workflows/ci.yml) locally:
 ## tier-1 tests, docs consistency (links included), the smoke sweep
 ## split across three share-nothing shards, a merge that must
 ## reassemble the full grid, the adaptive smoke sweep (run + a
-## warm-cache re-run that must execute zero runs), the result-store
-## smoke (sqlite vs json byte-equality + migrate), the physical-layer
+## warm-cache re-run that must execute zero runs), the physical-layer
 ## smoke (3x3 radio/MAC grid, warm zero-exec replay, golden
 ## fingerprints), the benchmark gate (every perfbench workload reproduces its reference
 ## under its wall-time ceiling) and the paper's claims (make bench)
@@ -152,8 +126,7 @@ ci: test docs-check protocol-coverage
 	  --cache-dir $(CI_DIR)/adaptive --format none \
 	  | grep -q "; 0 executed +" \
 	  || { echo "adaptive gate: warm-cache re-run executed runs (expected 0)"; exit 1; }
-	$(MAKE) store-smoke
 	$(MAKE) phy-smoke
 	$(MAKE) perf-check
 	$(MAKE) bench
-	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, adaptive, store, phy, perf-check, paper claims)"
+	@echo "make ci: OK (tests, docs, 3-way sharded smoke, merge, adaptive, phy, perf-check, paper claims)"

@@ -45,7 +45,6 @@ REQUIRED_DOCS = (
     "docs/architecture.md",
     "docs/orchestrator.md",
     "docs/executors.md",
-    "docs/result-store.md",
     "docs/sharding-and-ci.md",
     "docs/protocol-registry.md",
     "docs/physical-layer.md",

@@ -17,29 +17,22 @@
   mean +/- 95% CI summaries; :class:`AdaptiveCI` replication policies
   grow each grid point's seed set until a target CI half-width is met
   (:func:`run_sweep_adaptive`).
-* :mod:`repro.experiments.executors` -- registry-driven run-execution
-  backends behind :func:`run_sweep`: in-process ``serial`` and the
-  default ``process`` pool; the backend choice never enters cache keys,
-  so results are byte-identical across executors.
+* :mod:`repro.experiments.executors` -- the run-execution backends
+  behind :func:`run_sweep`: in-process ``serial`` and the default
+  ``process`` pool; the backend choice never enters cache keys, so
+  results are byte-identical across executors.
 * :mod:`repro.experiments.specs` -- the registry of named sweeps (the
   benchmark grids E2/E3/E5/E6/E7/E8/A1/A2, the example scenarios, a
   smoke sweep) plus their registered hooks and collectors.
-* :mod:`repro.experiments.stores` -- registry-driven *result-store
-  backends* behind every cache path: the default ``json``
-  directory-of-files layout and a single-file columnar ``sqlite`` store
-  (WAL, concurrent-writer safe).  Everywhere a cache path is accepted,
-  a store spec like ``sqlite:results.db`` picks the backend; like the
-  executor, the store never enters cache keys, so artifacts are
-  byte-identical across backends and caches migrate freely
-  (:func:`merge_caches`).
+* :mod:`repro.experiments.stores` -- the result cache: a directory of
+  ``<cache-key>.json`` run records, read through one batch scan and
+  written atomically; :func:`merge_caches` folds shard caches together.
 * ``python -m repro.experiments`` -- CLI over the registry:
   ``list`` / ``run`` / ``resume`` / ``export`` / ``merge`` /
-  ``migrate`` / ``protocols`` (registered components + spec-coverage check) /
-  ``executors`` (registered backends) / ``stores`` (registered result
-  stores), with ``--shard I/N`` splitting a grid across
-  share-nothing jobs (the way to spread a sweep over several
-  machines), ``--executor NAME`` picking the execution
-  backend and ``--store NAME`` the persistence backend.
+  ``protocols`` (registered components + spec-coverage check), with
+  ``--shard I/N`` splitting a grid across share-nothing jobs (the way
+  to spread a sweep over several machines) and ``--executor NAME``
+  picking the execution backend.
 
 Minimal single run::
 
@@ -75,9 +68,7 @@ from repro.experiments.executors import (
     DEFAULT_EXECUTOR,
     EXECUTORS,
     Executor,
-    available_executors,
     make_executor,
-    register_executor,
 )
 from repro.experiments.orchestrator import (
     SweepSpec,
@@ -119,19 +110,7 @@ from repro.registry import (
     register_radio,
 )
 from repro.simulation.stack import AgentStack, ProtocolStack
-from repro.experiments.stores import (
-    DEFAULT_STORE,
-    STORES,
-    JsonStore,
-    ResultStore,
-    SqliteStore,
-    StoreError,
-    available_stores,
-    make_store,
-    parse_store_spec,
-    register_store,
-    store_exists,
-)
+from repro.experiments.stores import JsonStore, ResultStore
 from repro.experiments.specs import (
     SPECS,
     available_specs,
@@ -170,26 +149,15 @@ __all__ = [
     "DEFAULT_EXECUTOR",
     "EXECUTORS",
     "Executor",
-    "available_executors",
     "make_executor",
-    "register_executor",
     "parse_shard",
     "shard_runs",
     "shard_points",
     "merge_caches",
     "validate_runs",
     "load_cached_results",
-    "DEFAULT_STORE",
-    "STORES",
     "ResultStore",
     "JsonStore",
-    "SqliteStore",
-    "StoreError",
-    "register_store",
-    "make_store",
-    "store_exists",
-    "parse_store_spec",
-    "available_stores",
     "summarize",
     "mean_ci95",
     "export_csv",

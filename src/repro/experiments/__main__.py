@@ -4,31 +4,20 @@
 
     python -m repro.experiments list
     python -m repro.experiments protocols [--check-coverage]
-    python -m repro.experiments executors
-    python -m repro.experiments stores
-    python -m repro.experiments run SWEEP [--executor NAME] [--store NAME] ...
+    python -m repro.experiments run SWEEP [--executor NAME] ...
     python -m repro.experiments resume SWEEP [...]
     python -m repro.experiments export SWEEP --out DIR [...]
     python -m repro.experiments merge SWEEP --cache-dir DEST --from DIR ...
-    python -m repro.experiments migrate --from SPEC --to SPEC
 
-``run`` executes a registered sweep (see ``list``) through a registered
-*executor backend* (see ``executors``: in-process ``serial`` or the
-default ``process`` pool; ``docs/executors.md``), caching finished runs
-under ``--cache-dir`` so an interrupted or repeated invocation only
-executes what is missing; ``resume`` is ``run`` with the additional
-guarantee that it refuses to start from a cold cache (catching a
-mistyped ``--cache-dir``).  ``export`` rebuilds the CSV/JSON artifacts
-purely from cached results without running anything.
-
-The cache lives behind a registered *result-store backend* (see
-``stores``; ``docs/result-store.md``): everywhere a cache path is
-accepted, a bare path means the default ``json`` directory layout and a
-store spec like ``sqlite:results.db`` selects another backend
-(``--store NAME`` names it explicitly).  The store is sweep-cosmetic --
-excluded from cache keys, byte-identical artifacts -- and ``migrate``
-copies a cache between backends (it is ``merge`` without a sweep:
-content-hash keys make it idempotent).
+``run`` executes a registered sweep (see ``list``) through an executor
+(in-process ``serial`` or the default ``process`` pool;
+``docs/executors.md``), caching finished runs as ``<cache-key>.json``
+files in the ``--cache-dir`` directory so an interrupted or repeated
+invocation only executes what is missing; ``resume`` is ``run`` with
+the additional guarantee that it refuses to start from a cold cache
+(catching a mistyped ``--cache-dir``).  ``export`` rebuilds the
+CSV/JSON artifacts purely from cached results without running
+anything.
 
 A sweep whose spec carries an :class:`~repro.experiments.orchestrator.
 AdaptiveCI` replication policy runs *adaptively*: each grid point adds
@@ -58,7 +47,7 @@ import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.experiments.executors import DEFAULT_EXECUTOR, available_executors
+from repro.experiments.executors import DEFAULT_EXECUTOR
 from repro.experiments.orchestrator import (
     AdaptiveCI,
     AdaptiveResult,
@@ -76,12 +65,6 @@ from repro.experiments.orchestrator import (
     summarize,
 )
 from repro.experiments.specs import available_specs, get_spec
-from repro.experiments.stores import (
-    DEFAULT_STORE,
-    StoreError,
-    available_stores,
-    store_exists,
-)
 from repro.metrics.collectors import format_table
 from repro.registry import RegistryError
 
@@ -110,31 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "least one registered sweep",
     )
 
-    sub.add_parser(
-        "executors",
-        help="list registered run-execution backends (--executor choices)",
-    )
-
-    sub.add_parser(
-        "stores",
-        help="list registered result-store backends (--store choices / "
-        "store-spec prefixes)",
-    )
-
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("sweep", help="registered sweep name (see `list`)")
         p.add_argument(
             "--cache-dir",
             default=DEFAULT_CACHE_DIR,
-            help="run-result cache: a directory, or a store spec like "
-            f"sqlite:results.db (default: {DEFAULT_CACHE_DIR})",
-        )
-        p.add_argument(
-            "--store",
-            default=None,
-            metavar="NAME",
-            help="result-store backend for --cache-dir (see `stores`); "
-            f"default: the path's prefix, else {DEFAULT_STORE!r}",
+            help=f"run-result cache directory (default: {DEFAULT_CACHE_DIR})",
         )
         p.add_argument(
             "--out",
@@ -198,8 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--executor",
             default=DEFAULT_EXECUTOR,
             metavar="NAME",
-            help="run-execution backend (see `executors`; "
-            f"default: {DEFAULT_EXECUTOR})",
+            help="run-execution backend, serial or process "
+            f"(default: {DEFAULT_EXECUTOR})",
         )
         p.add_argument(
             "--no-cache",
@@ -233,39 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="sources",
         action="append",
         default=[],
-        metavar="STORE",
-        help="shard cache (directory or store spec) to fold into "
-        "--cache-dir (repeatable)",
-    )
-
-    p = sub.add_parser(
-        "migrate",
-        help="copy every cache entry from one result store into another "
-        "(idempotent: content-hash keys make re-runs safe)",
-    )
-    p.add_argument(
-        "--from",
-        dest="sources",
-        action="append",
-        default=[],
-        metavar="STORE",
-        required=True,
-        help="source store (directory or store spec like json:dir, "
-        "sqlite:file.db; repeatable)",
-    )
-    p.add_argument(
-        "--to",
-        dest="dest",
-        required=True,
-        metavar="STORE",
-        help="destination store (created if missing)",
-    )
-    p.add_argument(
-        "--store",
-        default=None,
-        metavar="NAME",
-        help="backend for bare paths on both sides (see `stores`); "
-        "per-path prefixes win",
+        metavar="DIR",
+        help="shard cache directory to fold into --cache-dir (repeatable)",
     )
 
     return parser
@@ -479,43 +412,10 @@ def _cmd_protocols(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_executors() -> int:
-    rows = [
-        {"executor": name, "description": description}
-        for name, description in available_executors()
-    ]
-    print(
-        format_table(
-            rows,
-            title="Registered executor backends "
-            f"(run SWEEP --executor NAME; default: {DEFAULT_EXECUTOR})",
-        )
-    )
-    return 0
-
-
-def _cmd_stores() -> int:
-    rows = [
-        {"store": name, "description": description}
-        for name, description in available_stores()
-    ]
-    print(
-        format_table(
-            rows,
-            title="Registered result-store backends "
-            f"(run SWEEP --store NAME, or prefix cache paths like "
-            f"sqlite:results.db; default: {DEFAULT_STORE})",
-        )
-    )
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
     spec = _customize(get_spec(args.sweep), args)
     cache_dir: Optional[str] = None if args.no_cache else args.cache_dir
-    if require_cache and (
-        cache_dir is None or not store_exists(cache_dir, store=args.store)
-    ):
+    if require_cache and (cache_dir is None or not os.path.isdir(cache_dir)):
         print(
             f"resume: no cache at {args.cache_dir!r} -- use `run` to start this sweep",
             file=sys.stderr,
@@ -534,7 +434,6 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
             shard=shard,
             policy=policy,
             executor=args.executor,
-            store=args.store,
         )
         results = adaptive.results
     else:
@@ -546,7 +445,6 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
             progress=True,
             shard=shard,
             executor=args.executor,
-            store=args.store,
         )
     _print_summary(spec, results)
     if adaptive is not None:
@@ -563,20 +461,18 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     spec = _customize(get_spec(args.sweep), args)
-    if not store_exists(args.cache_dir, store=args.store):
-        print(f"export: no result store at {args.cache_dir!r}", file=sys.stderr)
+    if not os.path.isdir(args.cache_dir):
+        print(f"export: no cache directory at {args.cache_dir!r}", file=sys.stderr)
         return 2
     policy = _adaptive_policy(spec, args)
     adaptive: Optional[AdaptiveResult] = None
     if policy is not None:
         adaptive, missing_ids = load_adaptive_results(
-            spec, args.cache_dir, policy=policy, store=args.store
+            spec, args.cache_dir, policy=policy
         )
         results = adaptive.results
     else:
-        results, missing_ids = load_cached_results(
-            spec, args.cache_dir, store=args.store
-        )
+        results, missing_ids = load_cached_results(spec, args.cache_dir)
     missing = len(missing_ids)
     if not results:
         print(
@@ -603,16 +499,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_merge(args: argparse.Namespace) -> int:
     spec = _customize(get_spec(args.sweep), args)
     if args.sources:
-        copied, skipped = merge_caches(
-            args.sources, args.cache_dir, store=args.store
-        )
+        copied, skipped = merge_caches(args.sources, args.cache_dir)
         print(
             f"merge: folded {len(args.sources)} shard cache(s) into "
             f"{args.cache_dir}: {copied} new entries, {skipped} already present"
         )
-    if not store_exists(args.cache_dir, store=args.store):
+    if not os.path.isdir(args.cache_dir):
         print(
-            f"merge: no result store at {args.cache_dir!r} "
+            f"merge: no cache directory at {args.cache_dir!r} "
             "(use --from to fold shard caches into it)",
             file=sys.stderr,
         )
@@ -623,15 +517,11 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         # replay the adaptive stopping rule against the merged cache: the
         # run set is whatever the per-point CI tests demand, not a static
         # expansion, and any gap shows up as missing/incomplete below
-        adaptive, missing = load_adaptive_results(
-            spec, args.cache_dir, policy=policy, store=args.store
-        )
+        adaptive, missing = load_adaptive_results(spec, args.cache_dir, policy=policy)
         results = adaptive.results
         expected = "the adaptive replay"
     else:
-        results, missing = load_cached_results(
-            spec, args.cache_dir, store=args.store
-        )
+        results, missing = load_cached_results(spec, args.cache_dir)
         expected = f"{spec.run_count} runs"
     if missing:
         print(
@@ -649,15 +539,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_migrate(args: argparse.Namespace) -> int:
-    copied, skipped = merge_caches(args.sources, args.dest, store=args.store)
-    print(
-        f"migrate: {copied} entries copied into {args.dest}, "
-        f"{skipped} already present"
-    )
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -665,10 +546,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_list()
         if args.command == "protocols":
             return _cmd_protocols(args)
-        if args.command == "executors":
-            return _cmd_executors()
-        if args.command == "stores":
-            return _cmd_stores()
         if args.command == "run":
             return _cmd_run(args, require_cache=False)
         if args.command == "resume":
@@ -677,9 +554,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_export(args)
         if args.command == "merge":
             return _cmd_merge(args)
-        if args.command == "migrate":
-            return _cmd_migrate(args)
-    except (CliError, SpecError, StoreError, RegistryError) as exc:
+    except (CliError, SpecError, RegistryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

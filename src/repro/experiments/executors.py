@@ -1,18 +1,13 @@
-"""Pluggable run-execution backends for the sweep orchestrator.
+"""Run-execution backends for the sweep orchestrator.
 
-:func:`~repro.experiments.orchestrator.run_sweep` dispatches run
-execution through a registry of named *executor* backends (the same
-pattern as the protocol/radio/mac/mobility registries of
-:mod:`repro.registry`): an :class:`Executor` maps pending ``(key,
-RunSpec)`` pairs to recorded
-:class:`~repro.experiments.orchestrator.RunResult`\\ s, and the
-orchestrator dispatches through :data:`EXECUTORS` instead of branching.
-
-Two backends ship here:
+:func:`~repro.experiments.orchestrator.run_sweep` hands its pending
+``(key, RunSpec)`` pairs to an :class:`Executor`, which maps them to
+recorded :class:`~repro.experiments.orchestrator.RunResult`\\ s.  Two
+backends ship, named in :data:`EXECUTORS`:
 
 * ``serial`` -- a plain in-process loop; the debuggable reference
   implementation (breakpoints and profilers work, nothing forks).
-* ``process`` -- the registered **default**: a forked
+* ``process`` -- the **default**: a forked
   :class:`~concurrent.futures.ProcessPoolExecutor` of ``workers``
   processes (falling back to the serial loop for one worker or one run).
 
@@ -24,62 +19,16 @@ Which backend runs is a *sweep-cosmetic* choice: it is excluded from
 cache keys and artifacts, so a warm cache populated under one executor
 replays with zero executions under the other, and the artifact set is
 byte-identical across backends.
-
-Register third-party backends exactly like built-ins::
-
-    from repro.experiments.executors import Executor, register_executor
-
-    @register_executor("ssh")
-    class SshExecutor(Executor):
-        ...
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence
 
-from repro.registry import Registry
-
-#: executor-backend factories; ``run_sweep(executor=)`` / ``--executor``
-#: resolve here.  Bootstraps this module (the built-ins) and the specs
-#: module (the one module spawn-platform workers re-import), mirroring
-#: the component registries.
-EXECUTORS = Registry(
-    "executor",
-    bootstrap=(
-        "repro.experiments.executors",
-        "repro.experiments.specs",
-    ),
-)
+from repro.registry import RegistryError
 
 #: the backend used when the caller names none: a local process pool
 DEFAULT_EXECUTOR = "process"
-
-
-def register_executor(name: str) -> Callable:
-    """Register an :class:`Executor` factory (usually the class) under ``name``."""
-    return EXECUTORS.register(name)
-
-
-def make_executor(name: Optional[str]) -> "Executor":
-    """Instantiate the executor registered under ``name`` (default: process).
-
-    Unknown names raise :class:`~repro.registry.RegistryError` listing the
-    registered alternatives -- the orchestrator calls this eagerly, before
-    any run executes, so a typo'd ``--executor`` fails like a typo'd
-    protocol name.
-    """
-    return EXECUTORS.get(name or DEFAULT_EXECUTOR)()
-
-
-def available_executors() -> List[Tuple[str, str]]:
-    """Sorted ``(name, one-line description)`` pairs of registered backends."""
-    rows = []
-    for name in EXECUTORS.names():
-        entry = EXECUTORS.get(name)
-        doc = (entry.__doc__ or "").strip()
-        rows.append((name, doc.splitlines()[0] if doc else ""))
-    return rows
 
 
 class Executor:
@@ -97,7 +46,7 @@ class Executor:
     round).
     """
 
-    #: registered name, for progress lines and error messages
+    #: backend name (its key in :data:`EXECUTORS`), for progress lines
     name = "base"
 
     def map_runs(
@@ -123,7 +72,6 @@ class Executor:
                 fail(run, exc)
 
 
-@register_executor("serial")
 class SerialExecutor(Executor):
     """In-process loop: debuggable reference backend (no forking, no pool)."""
 
@@ -136,7 +84,6 @@ class SerialExecutor(Executor):
         return "1 worker(s) [serial]"
 
 
-@register_executor("process")
 class ProcessExecutor(Executor):
     """Forked process pool: the default local backend (real parallelism)."""
 
@@ -163,3 +110,24 @@ class ProcessExecutor(Executor):
                     record(key, future.result())
                 except Exception as exc:
                     fail(run, exc)
+
+
+#: the executor backends by name; ``run_sweep(executor=)`` and
+#: ``--executor`` resolve here through :func:`make_executor`
+EXECUTORS = {"serial": SerialExecutor, "process": ProcessExecutor}
+
+
+def make_executor(name: Optional[str]) -> Executor:
+    """Instantiate the executor named ``name`` (default: process).
+
+    Unknown names raise :class:`~repro.registry.RegistryError` listing
+    the alternatives -- the orchestrator calls this eagerly, before any
+    run executes, so a typo'd ``--executor`` fails like a typo'd
+    protocol name.
+    """
+    name = name or DEFAULT_EXECUTOR
+    if name not in EXECUTORS:
+        raise RegistryError(
+            f"unknown executor {name!r}; executors: {', '.join(sorted(EXECUTORS))}"
+        )
+    return EXECUTORS[name]()

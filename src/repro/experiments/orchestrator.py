@@ -11,17 +11,15 @@ is the engine that executes such grids:
 * :func:`expand_spec` -- turn a spec into concrete :class:`RunSpec`\\ s
   (the cross product of every grid axis and every seed, with
   deterministic per-run RNG seeding).
-* :func:`run_sweep` -- execute the runs through a registered *executor
-  backend* (:mod:`repro.experiments.executors`: in-process ``serial`` or
-  a ``process`` pool -- the default), with an on-disk result cache
-  keyed by a content hash of (config, duration, seed, code version) so
-  re-running a sweep only executes what changed.
-  The cache itself lives behind a registered *store* backend
-  (:mod:`repro.experiments.stores`: a ``json`` file directory -- the
-  default -- or a single-file columnar ``sqlite`` table).  Both
-  backends are sweep-cosmetic: neither the executor nor the store
-  enters the cache key, so every combination produces the same cache
-  entries and byte-identical artifacts.
+* :func:`run_sweep` -- execute the runs through an *executor*
+  (:mod:`repro.experiments.executors`: in-process ``serial`` or a
+  ``process`` pool -- the default), with an on-disk result cache keyed
+  by a content hash of (config, duration, seed, code version) so
+  re-running a sweep only executes what changed.  The cache is a
+  directory of ``<cache-key>.json`` files
+  (:mod:`repro.experiments.stores`).  The executor never enters the
+  cache key, so either one produces the same cache entries and
+  byte-identical artifacts.
 * :class:`RunResult` -- the typed record one run produces: the swept
   parameters, the seed, and a flat metrics dictionary.  JSON/CSV export
   via :func:`export_json` / :func:`export_csv`, mean +/- 95% CI
@@ -87,7 +85,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 from repro.experiments.executors import Executor, make_executor
 from repro.experiments.scenarios import PHY_SECTIONS, ScenarioConfig, config_axis_names
-from repro.experiments.stores import ResultStore, make_store, store_exists
+from repro.experiments.stores import JsonStore
 from repro.registry import (
     MACS,
     MOBILITY_MODELS,
@@ -741,19 +739,18 @@ def load_cached_results(
     spec: SweepSpec,
     cache_dir: str,
     shard: Optional[Tuple[int, int]] = None,
-    store: Optional[str] = None,
-    store_options: Optional[Mapping[str, Any]] = None,
 ) -> Tuple[List["RunResult"], List[str]]:
-    """Rehydrate ``spec``'s runs from a result store, running nothing.
+    """Rehydrate ``spec``'s runs from a cache directory, running nothing.
 
     Returns the cached results in expansion order -- re-labelled with this
     spec's run ids and params, since the cache is keyed by content only --
-    plus the run ids of every cache miss.  ``cache_dir`` is a bare path
-    or a store spec (``"sqlite:runs.db"``); the whole expansion resolves
-    through one batch :meth:`~repro.experiments.stores.ResultStore.scan`.
-    ``shard`` restricts the expansion to one shard.
+    plus the run ids of every cache miss.  ``cache_dir`` is the cache
+    directory's path or an open :class:`~repro.experiments.stores.JsonStore`;
+    the whole expansion resolves through one batch
+    :meth:`~repro.experiments.stores.ResultStore.scan`.  ``shard``
+    restricts the expansion to one shard.
     """
-    cache = _open_cache(cache_dir, store, store_options)
+    cache = _open_cache(cache_dir)
     runs = expand_spec(spec)
     if shard is not None:
         runs = shard_runs(runs, *shard)
@@ -784,27 +781,21 @@ def _restamp(result: RunResult, run: RunSpec, adaptive_round: int = 0) -> None:
     result.adaptive_round = adaptive_round
 
 
-def _open_cache(
-    cache_dir: Optional[Any],
-    store: Optional[str] = None,
-    store_options: Optional[Mapping[str, Any]] = None,
-) -> Optional[ResultStore]:
-    """Resolve a sweep's result store; ``None`` stays ``None`` (no caching).
+def _open_cache(cache_dir: Optional[Any]) -> Optional[JsonStore]:
+    """Open a sweep's cache; ``None`` stays ``None`` (no caching).
 
-    ``cache_dir`` is a bare path, a store spec (``"sqlite:runs.db"``) or
-    an already-open :class:`~repro.experiments.stores.ResultStore`.  An
-    explicit ``store`` wins over the path's ``name:`` prefix, which wins
-    over the ``json`` default.
+    ``cache_dir`` is the cache directory's path (created if missing) or
+    an already-open :class:`~repro.experiments.stores.JsonStore`.
     """
-    if cache_dir is None:
-        return None
-    return make_store(cache_dir, store=store, **dict(store_options or {}))
+    if cache_dir is None or isinstance(cache_dir, JsonStore):
+        return cache_dir
+    return JsonStore(cache_dir)
 
 
 def _resolve_cached(
-    cache: ResultStore, keyed: Sequence[Tuple[Any, RunSpec, str]]
+    cache: JsonStore, keyed: Sequence[Tuple[Any, RunSpec, str]]
 ) -> Dict[Any, RunResult]:
-    """Batch-resolve ``(token, run, cache_key)`` triples; one store scan.
+    """Batch-resolve ``(token, run, cache_key)`` triples; one cache scan.
 
     The hits come back as ``{token: RunResult}``.  Runs past the first
     that share a cache key get a deep copy, so every consumer can be
@@ -826,56 +817,40 @@ def _resolve_cached(
     return hits
 
 
-def _warn_corrupt(cache: Optional[ResultStore], label: str, progress: bool) -> None:
-    """Surface the store's corrupt-entry count in the run summary."""
+def _warn_corrupt(cache: Optional[JsonStore], label: str, progress: bool) -> None:
+    """Surface the cache's corrupt-entry count in the run summary."""
     if cache is not None and cache.corrupt_entries:
         _log(
             progress,
             f"[{label}] WARNING: {cache.corrupt_entries} corrupt cache "
-            f"entries in {cache.describe()} were ignored (the affected "
-            "runs re-executed; the rewrite heals the store)",
+            f"entries in {cache.directory} were ignored (the affected "
+            "runs re-executed; the rewrite heals the cache)",
         )
 
 
-def merge_caches(
-    sources: Sequence[str],
-    dest: str,
-    store: Optional[str] = None,
-    store_options: Optional[Mapping[str, Any]] = None,
-) -> Tuple[int, int]:
-    """Fold shard caches into ``dest``; returns (copied, skipped).
+def merge_caches(sources: Sequence[str], dest: str) -> Tuple[int, int]:
+    """Fold shard cache directories into ``dest``; returns (copied, skipped).
 
     Cache entries are named by content hash, so an entry already present
     in ``dest`` is identical to the incoming one and is skipped -- merging
-    is idempotent and order-independent.  Writes go through the store's
-    atomic :meth:`~repro.experiments.stores.ResultStore.put`, so a
-    crashed merge never leaves a truncated entry.  Sources and ``dest``
-    are store specs (or bare ``json`` directories); mixing backends is
-    how a cache migrates between layouts -- ``merge_caches(["json:old"],
-    "sqlite:new.db")`` is the migration recipe.
+    is idempotent and order-independent.  Writes go through the atomic
+    :meth:`~repro.experiments.stores.JsonStore.put`, so a crashed merge
+    never leaves a truncated entry.
     """
-    options = dict(store_options or {})
     for src in sources:
-        if not store_exists(src, store=store):
+        if not os.path.isdir(src):
             raise SpecError(f"shard cache directory {src!r} does not exist")
-    dest_store = make_store(dest, store=store, **options)
+    dest_store = JsonStore(dest)
+    existing = set(dest_store.keys())
     copied = skipped = 0
-    try:
-        existing = set(dest_store.keys())
-        for src in sources:
-            src_store = make_store(src, store=store, **options)
-            try:
-                for key, result in src_store.scan():
-                    if key in existing:
-                        skipped += 1
-                        continue
-                    dest_store.put(key, result)
-                    existing.add(key)
-                    copied += 1
-            finally:
-                src_store.close()
-    finally:
-        dest_store.close()
+    for src in sources:
+        for key, result in JsonStore(src).scan():
+            if key in existing:
+                skipped += 1
+                continue
+            dest_store.put(key, result)
+            existing.add(key)
+            copied += 1
     return copied, skipped
 
 
@@ -1013,8 +988,7 @@ def _execute_pending(
 ) -> List[tuple]:
     """Execute ``(key, RunSpec)`` pairs on ``backend``, calling ``record`` per result.
 
-    The shared engine under :func:`run_sweep` and the adaptive loop: a
-    dispatch through the executor registry
+    The shared engine under :func:`run_sweep` and the adaptive loop
     (:mod:`repro.experiments.executors`; ``backend`` may be None only
     when nothing is pending, as in a cache-only replay).  Every backend
     honours the same drain contract: completed work is always recorded
@@ -1041,13 +1015,11 @@ def run_sweep(
     progress: bool = False,
     shard: Optional[Tuple[int, int]] = None,
     executor: Optional[str] = None,
-    store: Optional[str] = None,
-    store_options: Optional[Mapping[str, Any]] = None,
 ) -> List[RunResult]:
     """Execute every run of ``spec`` and return results in expansion order.
 
-    ``executor`` names the registered execution backend (default
-    ``process``), resolved eagerly -- an unknown name raises
+    ``executor`` names the execution backend, ``serial`` or ``process``
+    (the default), resolved eagerly -- an unknown name raises
     :class:`~repro.registry.RegistryError` listing the alternatives
     before anything executes.  ``workers`` is the backend's parallelism:
     pool size for ``process`` (1 runs in-process), ignored by
@@ -1058,12 +1030,8 @@ def run_sweep(
     invocations only execute cache misses (``force=True`` re-runs
     everything and refreshes the cache).  Deterministic seeding makes
     this safe: a cached result is bit-identical to re-running the same
-    spec and seed.  ``cache_dir`` is a bare path (the ``json`` backend),
-    a store spec like ``"sqlite:runs.db"``, or an open
-    :class:`~repro.experiments.stores.ResultStore`; ``store`` names the
-    backend explicitly and ``store_options`` are backend keyword
-    arguments.  Like the executor, the store never enters cache keys or
-    artifacts.
+    spec and seed.  ``cache_dir`` is the cache directory's path or an
+    open :class:`~repro.experiments.stores.JsonStore`.
 
     ``shard=(index, count)`` executes only that 1-based shard of the
     expansion (see :func:`shard_runs`): ``count`` jobs sharing nothing but
@@ -1078,7 +1046,7 @@ def run_sweep(
         label = f"{spec.name} shard {shard[0]}/{shard[1]}"
     validate_runs(runs)
     backend = make_executor(executor)
-    cache = _open_cache(cache_dir, store, store_options)
+    cache = _open_cache(cache_dir)
 
     results: Dict[int, RunResult] = {}
     pending: List[tuple] = []          # (index, RunSpec)
@@ -1232,7 +1200,7 @@ def _adaptive_sweep(
     spec: SweepSpec,
     policy: AdaptiveCI,
     workers: int,
-    cache: Optional[ResultStore],
+    cache: Optional[JsonStore],
     force: bool,
     progress: bool,
     shard: Optional[Tuple[int, int]],
@@ -1442,8 +1410,6 @@ def run_sweep_adaptive(
     shard: Optional[Tuple[int, int]] = None,
     policy: Optional[AdaptiveCI] = None,
     executor: Optional[str] = None,
-    store: Optional[str] = None,
-    store_options: Optional[Mapping[str, Any]] = None,
 ) -> AdaptiveResult:
     """Execute ``spec`` under adaptive replication and return the report.
 
@@ -1457,10 +1423,8 @@ def run_sweep_adaptive(
     execution, so resuming, re-running, and replaying merged shard caches
     all cost zero executions once warm.
 
-    ``executor`` chooses the execution backend exactly as in
-    :func:`run_sweep` (one backend instance serves every adaptive
-    round); ``store``/``store_options`` choose the result-store backend
-    exactly as in :func:`run_sweep`.
+    ``executor`` and ``cache_dir`` work exactly as in :func:`run_sweep`
+    (one backend instance serves every adaptive round).
 
     ``shard=(index, count)`` restricts the sweep to a round-robin shard
     of the *grid points* (seeds of one point never split across jobs --
@@ -1478,7 +1442,7 @@ def run_sweep_adaptive(
         spec,
         policy,
         workers=workers,
-        cache=_open_cache(cache_dir, store, store_options),
+        cache=_open_cache(cache_dir),
         force=force,
         progress=progress,
         shard=shard,
@@ -1493,10 +1457,8 @@ def load_adaptive_results(
     cache_dir: str,
     shard: Optional[Tuple[int, int]] = None,
     policy: Optional[AdaptiveCI] = None,
-    store: Optional[str] = None,
-    store_options: Optional[Mapping[str, Any]] = None,
 ) -> Tuple[AdaptiveResult, List[str]]:
-    """Replay an adaptive sweep from a result store, running nothing.
+    """Replay an adaptive sweep from a cache directory, running nothing.
 
     The adaptive analogue of :func:`load_cached_results`: the stopping
     rule is re-evaluated against the cached results round by round, so
@@ -1517,7 +1479,7 @@ def load_adaptive_results(
         spec,
         policy,
         workers=1,
-        cache=_open_cache(cache_dir, store, store_options),
+        cache=_open_cache(cache_dir),
         force=False,
         progress=False,
         shard=shard,

@@ -1,15 +1,16 @@
-"""Tests of the pluggable executor backends.
+"""Tests of the executor backends.
 
 Covers the guarantees the execution layer rests on: exactly the serial
-and process backends are registered and unknown names fail eagerly
-with alternatives (RegistryError UX), both backends produce
+and process backends exist and unknown names fail eagerly with
+alternatives (RegistryError UX), both backends produce
 byte-identical artifacts on the same grid, a warm cache populated under
 one executor replays with zero executions under the other, runs that
 share one cache key come back under each run's own identity (cold,
 warm and from the cache alone), a pool worker that dies mid-sweep
 fails the sweep without losing the runs that completed, and both
 backends emit the same progress lines (and none at all when progress
-is off).
+is off).  The CLI has no subcommand listing backends and no
+``--store`` option.
 """
 
 import os
@@ -28,7 +29,7 @@ from repro.experiments.orchestrator import (
     run_sweep,
 )
 from repro.experiments.scenarios import ScenarioConfig
-from repro.experiments.stores import make_store
+from repro.experiments.stores import JsonStore
 from repro.registry import RegistryError
 
 
@@ -61,7 +62,7 @@ def csv_bytes(results, path) -> bytes:
 
 class TestExecutorRegistry:
     def test_exactly_two_backends_registered(self):
-        assert set(EXECUTORS.names()) == {"serial", "process"}
+        assert set(EXECUTORS) == {"serial", "process"}
 
     def test_unknown_name_lists_alternatives(self):
         # a removed backend name fails exactly like a typo
@@ -162,7 +163,7 @@ class TestPoolWorkerDeath:
             run_sweep(spec, workers=2, cache_dir=cache_dir, executor="process")
         completed = int(re.search(r"\((\d+) completed", str(failure.value)).group(1))
         assert f"{len(runs) - completed} of {len(runs)} runs failed" in str(failure.value)
-        cached_keys = set(make_store(cache_dir).keys())
+        cached_keys = set(JsonStore(cache_dir).keys())
         assert len(cached_keys) == completed
         dying = {run.cache_key() for run in runs if run.config.n_nodes == 14}
         assert not dying & cached_keys
@@ -225,15 +226,18 @@ class TestProgressParity:
 
 
 class TestCliSurface:
-    def test_executors_subcommand_lists_backends(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["executors"], ["stores"], ["migrate"], ["run", "smoke", "--store", "json"]],
+        ids=["executors", "stores", "migrate", "store-option"],
+    )
+    def test_backend_listing_and_store_choice_are_gone(self, argv, capsys):
         from repro.experiments.__main__ import main
 
-        assert main(["executors"]) == 0
-        rows = capsys.readouterr().out.splitlines()[3:]  # title, header, rule
-        assert sorted(row.split("|")[0].strip() for row in rows) == [
-            "process",
-            "serial",
-        ]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_run_rejects_unknown_executor(self, capsys):
         from repro.experiments.__main__ import main

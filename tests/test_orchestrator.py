@@ -605,9 +605,15 @@ class TestCli:
         assert main(["export"] + args[:5]) == 0
 
     def test_resume_refuses_cold_cache(self, tmp_path, capsys):
+        """So do export and merge: a cache is a directory, not any path."""
         from repro.experiments.__main__ import main
 
-        code = main(
-            ["resume", "smoke", "--cache-dir", str(tmp_path / "nope"), "--out", str(tmp_path)]
-        )
-        assert code == 2
+        not_a_dir = tmp_path / "cache.db"
+        not_a_dir.write_text("")
+        for command in ("resume", "export", "merge"):
+            for cache in (tmp_path / "nope", not_a_dir):
+                code = main(
+                    [command, "smoke", "--cache-dir", str(cache), "--out", str(tmp_path)]
+                )
+                assert code == 2, (command, cache)
+        assert not (tmp_path / "nope").exists()

@@ -1,22 +1,17 @@
-"""Tests of the pluggable result-store backends.
+"""Tests of the result store: a directory of ``<cache-key>.json`` records.
 
-Covers the guarantees the persistence layer rests on: store specs parse
-(bare path = json, ``sqlite:file.db`` picks a backend, conflicts fail),
-unknown store names fail eagerly with alternatives and leave no
-directory behind, each backend round-trips ``RunResult`` records (get /
-put / delete / keys / batch scan), the store choice is sweep-cosmetic
-(byte-identical CSV/JSON artifacts across backends, warm replay with
-zero executions from a cache written under another backend), json and
-sqlite survive concurrent same-key publishers, corrupt entries are
-counted and re-executed instead of crashing, and ``merge_caches``
-migrates between backends.
+Covers the guarantees the cache rests on: the store round-trips
+``RunResult`` records (get / put / delete / keys / batch scan) and
+``put`` replaces an entry, an entry's bytes are one C-encoder pass
+written atomically, concurrent same-key publishers are safe, corrupt or
+malformed entries are counted and re-executed instead of crashing (the
+rewrite heals them), and ``merge_caches`` is idempotent.
 """
 
 import dataclasses
 import io
 import json
 import os
-import sqlite3
 import threading
 
 import pytest
@@ -26,23 +21,11 @@ from repro.experiments.orchestrator import (
     SpecError,
     SweepSpec,
     expand_spec,
-    load_cached_results,
     merge_caches,
     run_sweep,
 )
 from repro.experiments.scenarios import ScenarioConfig
-from repro.experiments.stores import (
-    DEFAULT_STORE,
-    STORES,
-    JsonStore,
-    SqliteStore,
-    StoreError,
-    available_stores,
-    make_store,
-    parse_store_spec,
-    store_exists,
-)
-from repro.registry import RegistryError
+from repro.experiments.stores import JsonStore
 
 
 def tiny_spec(**overrides) -> SweepSpec:
@@ -80,58 +63,9 @@ def fake_result(i: int = 0, **overrides) -> RunResult:
     return RunResult(**fields)
 
 
-class TestStoreSpecs:
-    def test_bare_path_is_default_backend(self):
-        assert parse_store_spec("some/dir") == (None, "some/dir")
-        assert parse_store_spec(".repro-cache") == (None, ".repro-cache")
-
-    def test_prefix_selects_backend(self):
-        assert parse_store_spec("sqlite:runs.db") == ("sqlite", "runs.db")
-        assert parse_store_spec("json:some/dir") == ("json", "some/dir")
-
-    def test_windowsish_and_relative_paths_are_not_prefixes(self):
-        # drive letters, dotted names and slashes before the colon must
-        # not be mistaken for backend names
-        assert parse_store_spec("C:/cache")[0] is None
-        assert parse_store_spec("./odd:name")[0] is None
-        assert parse_store_spec("a/b:c")[0] is None
-
-    def test_registry_lists_builtin_backends(self):
-        names = [name for name, _ in available_stores()]
-        assert "json" in names and "sqlite" in names
-        assert DEFAULT_STORE == "json"
-
-    def test_unknown_store_fails_with_alternatives_and_no_dir(self, tmp_path):
-        target = tmp_path / "cache"
-        with pytest.raises(RegistryError, match="sqlite"):
-            make_store(str(target), store="mongodb")
-        assert not target.exists()
-
-    def test_conflicting_prefix_and_store_arg(self, tmp_path):
-        with pytest.raises(StoreError, match="also requested"):
-            make_store(f"sqlite:{tmp_path}/c.db", store="json")
-
-    def test_explicit_store_equal_to_prefix_is_fine(self, tmp_path):
-        store = make_store(f"sqlite:{tmp_path}/c.db", store="sqlite")
-        assert isinstance(store, SqliteStore)
-        store.close()
-
-    def test_store_exists_per_backend(self, tmp_path):
-        assert not store_exists(str(tmp_path / "nope"))
-        json_store = make_store(str(tmp_path / "j"))
-        json_store.close()
-        assert store_exists(str(tmp_path / "j"))
-        db = tmp_path / "s.db"
-        sqlite_store = make_store(f"sqlite:{db}")
-        sqlite_store.close()
-        assert store_exists(f"sqlite:{db}")
-        assert not store_exists(str(db))  # bare path means json => isdir
-
-
 class TestRoundTrip:
-    @pytest.mark.parametrize("spec_tpl", ["{dir}/cache", "sqlite:{dir}/cache.db"])
-    def test_put_get_keys_scan_delete(self, tmp_path, spec_tpl):
-        store = make_store(spec_tpl.format(dir=tmp_path))
+    def test_put_get_keys_scan_delete(self, tmp_path):
+        store = JsonStore(str(tmp_path / "cache"))
         results = [fake_result(i) for i in range(5)]
         for result in results:
             store.put(result.cache_key, result)
@@ -155,25 +89,12 @@ class TestRoundTrip:
         store.close()
 
     def test_put_overwrites(self, tmp_path):
-        store = make_store(f"sqlite:{tmp_path}/c.db")
+        store = JsonStore(str(tmp_path / "c"))
         store.put("k" * 64, fake_result(1))
         store.put("k" * 64, fake_result(2))
         assert store.get("k" * 64).seed == 2
-        assert len(store.keys()) == 1
-        store.close()
-
-    def test_json_bytes_unchanged_by_sqlite_round_trip(self, tmp_path):
-        """The sqlite backend must preserve the exact json serialization."""
-        json_store = make_store(str(tmp_path / "j"))
-        sqlite_store = make_store(f"sqlite:{tmp_path}/s.db")
-        original = fake_result(3, adaptive_round=2)
-        json_store.put(original.cache_key, original)
-        sqlite_store.put(original.cache_key, sqlite_store.get("nope") or original)
-        round_tripped = sqlite_store.get(original.cache_key)
-        json_store.put("b" * 64, round_tripped)
-        first = (tmp_path / "j" / f"{original.cache_key}.json").read_bytes()
-        second = (tmp_path / "j" / ("b" * 64 + ".json")).read_bytes()
-        assert first == second
+        assert store.keys() == ["k" * 64]
+        assert os.listdir(tmp_path / "c") == ["k" * 64 + ".json"]
 
 
 class TestJsonEntryBytes:
@@ -220,32 +141,34 @@ class TestJsonEntryBytes:
 
 class TestCorruption:
     def test_json_corrupt_entry_counts_and_misses(self, tmp_path):
-        store = make_store(str(tmp_path / "cache"))
+        store = JsonStore(str(tmp_path / "cache"))
         store.put("a" * 64, fake_result())
         (tmp_path / "cache" / ("a" * 64 + ".json")).write_text("{not json")
         assert store.get("a" * 64) is None
-        assert store.corrupt_entries == 1
-        assert "1 corrupt" in store.describe() or "corrupt" in store.describe()
+        assert (store.hits, store.misses, store.corrupt_entries) == (0, 1, 1)
+        assert store.get("b" * 64) is None  # absent: a miss, not corrupt
+        assert (store.hits, store.misses, store.corrupt_entries) == (0, 2, 1)
 
-    def test_sqlite_corrupt_payload_counts_and_misses(self, tmp_path):
-        db = tmp_path / "c.db"
-        store = make_store(f"sqlite:{db}")
-        store.put("a" * 64, fake_result())
-        with sqlite3.connect(db) as conn:
-            conn.execute("UPDATE results SET metrics = '{broken'")
-        assert store.get("a" * 64) is None
-        assert store.corrupt_entries == 1
-        store.close()
+    @pytest.mark.parametrize("payload", ["{}", "null", "[]", "no metrics"])
+    def test_malformed_entry_is_corrupt_and_reexecuted(self, tmp_path, payload):
+        """Valid JSON that is no run record is read like a damaged file."""
+        spec = tiny_spec(grid={}, seeds=(1,))
+        cache_dir = str(tmp_path / "cache")
+        (cold,) = run_sweep(spec, cache_dir=cache_dir, executor="serial")
+        entry = tmp_path / "cache" / f"{cold.cache_key}.json"
+        if payload == "no metrics":
+            record = json.loads(entry.read_text())
+            del record["metrics"]
+            payload = json.dumps(record)
+        entry.write_text(payload)
 
-    def test_sqlite_unknown_schema_version_is_corrupt(self, tmp_path):
-        db = tmp_path / "c.db"
-        store = make_store(f"sqlite:{db}")
-        store.put("a" * 64, fake_result())
-        with sqlite3.connect(db) as conn:
-            conn.execute("UPDATE results SET schema_version = 999")
-        assert store.get("a" * 64) is None
-        assert store.corrupt_entries == 1
-        store.close()
+        cache = JsonStore(cache_dir)
+        (rerun,) = run_sweep(spec, cache_dir=cache, executor="serial")
+        assert (cache.hits, cache.misses, cache.corrupt_entries) == (0, 1, 1)
+        assert not rerun.from_cache
+        assert rerun.metrics == cold.metrics
+        healed = JsonStore(cache_dir).get(cold.cache_key)
+        assert healed is not None and healed.metrics == cold.metrics
 
 
 class TestJsonConcurrency:
@@ -276,102 +199,44 @@ class TestJsonConcurrency:
         assert leftovers == []
 
 
-class TestSqliteConcurrency:
-    def test_concurrent_same_key_puts(self, tmp_path):
-        store = make_store(f"sqlite:{tmp_path}/c.db")
-        errors = []
-
-        def publish(i):
-            try:
-                for _ in range(10):
-                    store.put("k" * 64, fake_result(i))
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        threads = [threading.Thread(target=publish, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        final = store.get("k" * 64)
-        assert final is not None and final.seed in range(4)
-        assert len(store.keys()) == 1
-        store.close()
-
-
 class TestSweepIntegration:
-    def test_cross_backend_byte_identical_artifacts(self, tmp_path):
-        """One set of results, exported through each backend, byte-equal."""
-        from repro.experiments.orchestrator import export_csv, export_json
-
+    def test_corrupt_entry_reexecuted_and_healed(self, tmp_path, capsys):
         spec = tiny_spec()
-        json_cache = str(tmp_path / "json-cache")
-        sqlite_cache = f"sqlite:{tmp_path}/cache.db"
-        run_sweep(spec, workers=2, cache_dir=json_cache)
-        merge_caches([json_cache], sqlite_cache)
-        outputs = {}
-        for tag, target in (("json", json_cache), ("sqlite", sqlite_cache)):
-            results, missing = load_cached_results(spec, target)
-            assert not missing
-            csv_path = tmp_path / f"{tag}.csv"
-            json_path = tmp_path / f"{tag}.json"
-            export_csv(results, str(csv_path))
-            export_json(results, str(json_path), spec=spec)
-            outputs[tag] = (csv_path.read_bytes(), json_path.read_bytes())
-        assert outputs["json"][0] == outputs["sqlite"][0]
-        assert outputs["json"][1] == outputs["sqlite"][1]
+        cache_dir = str(tmp_path / "cache")
+        run_sweep(spec, workers=1, cache_dir=cache_dir, executor="serial")
+        damaged = sorted(os.listdir(cache_dir))[0]
+        (tmp_path / "cache" / damaged).write_text("{oops")
+        capsys.readouterr()
 
-    def test_warm_replay_zero_exec_under_sqlite(self, tmp_path):
-        spec = tiny_spec()
-        target = f"sqlite:{tmp_path}/cache.db"
-        run_sweep(spec, workers=2, cache_dir=target)
-        warm = run_sweep(spec, workers=1, cache_dir=target, executor="serial")
-        assert all(r.from_cache for r in warm)
-        loaded, missing = load_cached_results(spec, target)
-        assert not missing
-        assert len(loaded) == len(warm)
-
-    def test_store_param_applies_to_bare_path(self, tmp_path):
-        spec = tiny_spec()
-        target = str(tmp_path / "cache.db")
-        run_sweep(spec, workers=1, cache_dir=target, store="sqlite", executor="serial")
-        assert os.path.isfile(target)
-        warm = run_sweep(
-            spec, workers=1, cache_dir=target, store="sqlite", executor="serial"
-        )
-        assert all(r.from_cache for r in warm)
-
-    def test_corrupt_sqlite_entry_reexecuted(self, tmp_path, capsys):
-        spec = tiny_spec()
-        db = tmp_path / "cache.db"
-        run_sweep(spec, workers=1, cache_dir=f"sqlite:{db}", executor="serial")
-        with sqlite3.connect(db) as conn:
-            conn.execute("UPDATE results SET params = '{oops' WHERE rowid = 1")
         results = run_sweep(
-            spec, workers=1, cache_dir=f"sqlite:{db}", executor="serial",
-            progress=True,
+            spec, workers=1, cache_dir=cache_dir, executor="serial", progress=True
         )
         assert len(results) == len(expand_spec(spec))
-        assert sum(1 for r in results if not r.from_cache) == 1
-        captured = capsys.readouterr()
-        assert "corrupt" in captured.out + captured.err
+        reexecuted = [r for r in results if not r.from_cache]
+        assert [f"{r.cache_key}.json" for r in reexecuted] == [damaged]
+        err = capsys.readouterr().err
+        assert f"WARNING: 1 corrupt cache entries in {cache_dir} were ignored" in err
+
+        healed = run_sweep(spec, workers=1, cache_dir=cache_dir, executor="serial")
+        assert all(r.from_cache for r in healed)
 
 
 class TestMigration:
-    def test_merge_caches_across_backends(self, tmp_path):
-        src = make_store(str(tmp_path / "json-cache"))
+    def test_merge_caches_is_idempotent(self, tmp_path):
+        src = JsonStore(str(tmp_path / "shard"))
         results = [fake_result(i) for i in range(4)]
         for result in results:
             src.put(result.cache_key, result)
-        dest_spec = f"sqlite:{tmp_path}/dest.db"
-        copied, skipped = merge_caches([str(tmp_path / "json-cache")], dest_spec)
+        dest_dir = str(tmp_path / "dest")
+        copied, skipped = merge_caches([src.directory], dest_dir)
         assert (copied, skipped) == (4, 0)
-        copied, skipped = merge_caches([str(tmp_path / "json-cache")], dest_spec)
-        assert (copied, skipped) == (0, 4)  # idempotent
-        dest = make_store(dest_spec)
-        assert sorted(dest.keys()) == sorted(r.cache_key for r in results)
-        dest.close()
+        copied, skipped = merge_caches([src.directory], dest_dir)
+        assert (copied, skipped) == (0, 4)
+        assert JsonStore(dest_dir).keys() == src.keys()
+        for key in src.keys():
+            assert (tmp_path / "dest" / f"{key}.json").read_bytes() == (
+                tmp_path / "shard" / f"{key}.json"
+            ).read_bytes()
 
     def test_merge_missing_source_fails(self, tmp_path):
         with pytest.raises(SpecError, match="does not exist"):
