@@ -12,9 +12,10 @@ Fails (exit code 1) if documentation has drifted from the code:
 3. README documents every CLI subcommand the shipped parser actually
    has, and the docs/ pages collectively document every subcommand too;
 4. every ``python -m repro.experiments <sub> <sweep>`` command quoted in
-   a doc uses a real subcommand and a registered sweep name, and every
-   ``make <target>`` mentioned exists in the Makefile -- the
-   experiments-guide walkthrough must stay copy-pasteable;
+   a doc uses a real subcommand, a registered sweep name and only
+   options ``<sub>`` accepts, and every ``make <target>`` mentioned
+   exists in the Makefile -- the experiments-guide walkthrough must stay
+   copy-pasteable;
 5. every module under ``src/repro`` has a module docstring;
 6. every package ``__init__`` resolves its declared ``__all__`` (imports
    that silently rot are the most common docstring drift);
@@ -109,14 +110,19 @@ def check_intra_repo_links() -> None:
                 error(f"{_rel(path)} links to {target!r} which does not exist")
 
 
-def _cli_subcommands() -> list:
+def _cli_parsers() -> dict:
+    """Each CLI subcommand's name mapped to its argparse parser."""
     from repro.experiments.__main__ import _build_parser
 
     parser = _build_parser()
     for action in parser._actions:  # argparse keeps subparsers here
         if hasattr(action, "choices") and action.choices:
-            return list(action.choices)
-    return []
+            return dict(action.choices)
+    return {}
+
+
+def _cli_subcommands() -> list:
+    return list(_cli_parsers())
 
 
 def check_readme_matches_cli() -> None:
@@ -147,6 +153,11 @@ def check_docs_cover_cli() -> None:
 #: line break ("...experiments run` to execute\nsmoke tests") is never
 #: mis-parsed as a sweep argument
 _CLI_REF = re.compile(r"python -m repro\.experiments[ \t]+([\w-]+)(?:[ \t]+(?!-)([\w.-]+))?")
+#: a quoted CLI command with the rest of its line: up to a closing
+#: backtick, a pipe, a shell separator, a redirect or a comment
+_CLI_COMMAND = re.compile(r"python -m repro\.experiments[ \t]+([\w-]+)([^`\n|;&>#]*)")
+_CONTINUATION = re.compile(r"\\\n[ \t]*")
+_OPTION = re.compile(r"(?<![\w-])--[\w-]+")
 _MAKE_INLINE = re.compile(r"`make ([a-zA-Z][\w-]*)")
 _MAKE_COMMAND = re.compile(r"^\s*\$?\s*make ([a-zA-Z][\w-]*)")
 
@@ -178,7 +189,12 @@ def check_quoted_commands() -> None:
     The experiments-guide sells its commands as copy-pasteable; a renamed
     sweep or dropped make target must fail this check, not a reader.
     """
-    subcommands = set(_cli_subcommands())
+    parsers = _cli_parsers()
+    subcommands = set(parsers)
+    options = {
+        name: {opt for action in sub._actions for opt in action.option_strings}
+        for name, sub in parsers.items()
+    }
     from repro.experiments.specs import SPECS
 
     makefile = os.path.join(ROOT, "Makefile")
@@ -197,6 +213,14 @@ def check_quoted_commands() -> None:
                     f"{_rel(path)} quotes 'python -m repro.experiments {sub} "
                     f"{arg}' but {arg!r} is not a registered sweep"
                 )
+        # backslash continuations joined, so a multi-line command counts whole
+        for sub, rest in _CLI_COMMAND.findall(_CONTINUATION.sub(" ", text)):
+            for option in _OPTION.findall(rest):
+                if sub in options and option not in options[sub]:
+                    error(
+                        f"{_rel(path)} quotes 'python -m repro.experiments {sub} "
+                        f"... {option}' but {sub!r} has no {option} option"
+                    )
         for target in _make_refs(text):
             if target not in targets:
                 error(f"{_rel(path)} mentions 'make {target}' which is not a Makefile target")

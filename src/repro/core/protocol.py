@@ -431,7 +431,10 @@ class HVDBProtocolAgent(ProtocolAgent):
             return
         payload = packet.payload
         my_address = self.model.address_of_ch(self.node_id)
-        if payload["hid"] != my_address.hid:
+        neighbor_hnid = int(payload["hnid"])
+        # a beacon sent just before a model rebuild may reach the node
+        # that now holds the sender's hnid: a CH has no link to itself
+        if payload["hid"] != my_address.hid or neighbor_hnid == my_address.hnid:
             return
         table = self._ensure_route_table()
         now = self.now
@@ -440,7 +443,6 @@ class HVDBProtocolAgent(ProtocolAgent):
         contenders = max(1, len(self.network.neighbor_positions(self.node_id)))
         bandwidth = self.network.config.mac.bandwidth_bps / contenders \
             if hasattr(self.network.config.mac, "bandwidth_bps") else 1e6
-        neighbor_hnid = int(payload["hnid"])
         link = LinkQoS(delay=delay, bandwidth=bandwidth, measured_at=now)
         table.update_neighbor(neighbor_hnid, link)
         advertised = [

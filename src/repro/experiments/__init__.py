@@ -14,13 +14,15 @@
   declarative :class:`SweepSpec` grids expanded into seeded runs, fanned
   out over ``multiprocessing`` workers, cached on disk by content hash,
   aggregated into :class:`RunResult` records with CSV/JSON export and
-  mean +/- 95% CI summaries; :class:`AdaptiveCI` replication policies
-  grow each grid point's seed set until a target CI half-width is met
+  mean +/- 95% CI summaries.  One loop runs every sweep in rounds: a
+  fixed seed list is one round (:func:`run_sweep`), and an
+  :class:`AdaptiveCI` replication policy adds rounds that grow each
+  grid point's seed set until a target CI half-width is met
   (:func:`run_sweep_adaptive`).
 * :mod:`repro.experiments.executors` -- the run-execution backends
-  behind :func:`run_sweep`: in-process ``serial`` and the default
-  ``process`` pool; the backend choice never enters cache keys, so
-  results are byte-identical across executors.
+  behind that loop, one batch per round: in-process ``serial`` and the
+  default ``process`` pool; the backend choice never enters cache keys,
+  so results are byte-identical across executors.
 * :mod:`repro.experiments.specs` -- the registry of named sweeps (the
   benchmark grids E2/E3/E5/E6/E7/E8/A1/A2, the example scenarios, a
   smoke sweep) plus their registered hooks and collectors.

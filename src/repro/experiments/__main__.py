@@ -24,14 +24,18 @@ AdaptiveCI` replication policy runs *adaptively*: each grid point adds
 replication seeds until the 95% CI half-width of the policy's metric
 meets the target (``unconverged`` points are reported when ``max_seeds``
 is exhausted), and ``run`` prints the per-point convergence report.
-``--adaptive``/``--target-ci``/``--ci-metric`` force or override the
-policy from the command line.
+``--target-ci`` makes any sweep adaptive, and with ``--ci-metric`` it
+overrides the policy's target and metric.  ``run``, ``resume``,
+``export`` and ``merge`` each make one call into the orchestrator's
+sweep loop (:func:`~repro.experiments.orchestrator.sweep`), with that
+policy or, for a fixed seed list, none.
 
 ``--shard I/N`` restricts ``run``/``resume`` to a deterministic 1-based
-slice of the grid (of the *grid points* when adaptive, so one point's
-growing seed set never splits across jobs), so N CI jobs sharing nothing
-but their cache directories cover the sweep exactly once; ``merge`` then
-folds the shard caches together and exports the full artifact set.
+slice of the grid (of its runs for a seed list, of its *grid points*
+when adaptive, so one point's growing seed set never splits across
+jobs), so N CI jobs sharing nothing but their cache directories cover
+the sweep exactly once; ``merge`` then folds the shard caches together
+and exports the full artifact set.
 
 ``protocols`` lists every registered pluggable component (protocol
 stacks, radios, MACs, mobility models) and, with ``--check-coverage``,
@@ -45,7 +49,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.experiments.executors import DEFAULT_EXECUTOR
 from repro.experiments.orchestrator import (
@@ -56,13 +60,10 @@ from repro.experiments.orchestrator import (
     SweepSpec,
     export_csv,
     export_json,
-    load_adaptive_results,
-    load_cached_results,
     merge_caches,
     parse_shard,
-    run_sweep,
-    run_sweep_adaptive,
     summarize,
+    sweep,
 )
 from repro.experiments.specs import available_specs, get_spec
 from repro.metrics.collectors import format_table
@@ -123,19 +124,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="simulated seconds per run, overriding the spec's",
         )
         p.add_argument(
-            "--adaptive",
-            action="store_true",
-            help="use adaptive seed replication (implied when the spec "
-            "carries a replication policy; otherwise requires --target-ci)",
-        )
-        p.add_argument(
             "--target-ci",
             type=float,
             default=None,
             metavar="HALF_WIDTH",
             help="adaptive target: add seeds per grid point until the 95%% CI "
-            "half-width of the chosen metric is at most this (overrides the "
-            "spec's policy target)",
+            "half-width of the chosen metric is at most this (makes a "
+            "fixed-seed sweep adaptive; overrides the spec's policy target)",
         )
         p.add_argument(
             "--ci-metric",
@@ -223,56 +218,49 @@ def _customize(spec: SweepSpec, args: argparse.Namespace) -> SweepSpec:
 def _adaptive_policy(
     spec: SweepSpec, args: argparse.Namespace
 ) -> Optional[AdaptiveCI]:
-    """The adaptive policy this invocation should run under, if any.
+    """The adaptive policy this invocation runs under; None for a seed list.
 
-    A spec-level ``replication`` policy activates adaptively by itself;
-    ``--adaptive`` (or ``--target-ci``) forces the adaptive path for a
-    fixed-seed spec, in which case ``--target-ci`` must supply the
-    target.  ``--target-ci``/``--ci-metric`` override the corresponding
-    policy fields either way.
+    A spec-level ``replication`` policy applies by itself, and
+    ``--target-ci`` makes a fixed-seed spec adaptive.
+    ``--target-ci``/``--ci-metric`` override the corresponding policy
+    fields either way.
     """
-    policy = spec.replication
-    target = getattr(args, "target_ci", None)
-    metric = getattr(args, "ci_metric", None)
-    if policy is None and not getattr(args, "adaptive", False) and target is None:
+    target, metric = args.target_ci, args.ci_metric
+    if spec.replication is None:
+        if target is not None:
+            return AdaptiveCI(target_half_width=target, metric=metric or "pdr")
         if metric is not None:
             raise CliError("--ci-metric only applies to adaptive runs "
                            "(pass --target-ci, or pick a spec with a policy)")
         return None
-    if policy is None:
-        if target is None:
-            raise CliError(
-                f"sweep {spec.name!r} has no replication policy; --adaptive "
-                "needs --target-ci HALF_WIDTH (and optionally --ci-metric)"
-            )
-        return AdaptiveCI(target_half_width=target, metric=metric or "pdr")
     replacements = {}
     if target is not None:
         replacements["target_half_width"] = target
     if metric is not None:
         replacements["metric"] = metric
-    return dataclasses.replace(policy, **replacements) if replacements else policy
+    return dataclasses.replace(spec.replication, **replacements)
 
 
-def _write_artifacts(
+def _report(
     spec: SweepSpec,
     results: Sequence[RunResult],
-    out_dir: str,
-    fmt: str,
-    name: Optional[str] = None,
-    adaptive: Optional[AdaptiveResult] = None,
-) -> List[str]:
-    stem = name or spec.name
-    written: List[str] = []
-    if fmt in ("csv", "both"):
-        path = os.path.join(out_dir, f"{stem}.csv")
+    adaptive: Optional[AdaptiveResult],
+    args: argparse.Namespace,
+    stem: Optional[str] = None,
+) -> None:
+    """Print the summary (and any convergence report), then write artifacts."""
+    _print_summary(spec, results)
+    if adaptive is not None:
+        _print_convergence(adaptive)
+    stem = stem or spec.name
+    if args.format in ("csv", "both"):
+        path = os.path.join(args.out, f"{stem}.csv")
         export_csv(results, path)
-        written.append(path)
-    if fmt in ("json", "both"):
-        path = os.path.join(out_dir, f"{stem}.json")
+        print(f"wrote {path}")
+    if args.format in ("json", "both"):
+        path = os.path.join(args.out, f"{stem}.json")
         export_json(results, path, spec=spec, adaptive=adaptive)
-        written.append(path)
-    return written
+        print(f"wrote {path}")
 
 
 def _print_summary(spec: SweepSpec, results: Sequence[RunResult]) -> None:
@@ -422,40 +410,20 @@ def _cmd_run(args: argparse.Namespace, require_cache: bool) -> int:
         )
         return 2
     shard = parse_shard(args.shard) if args.shard else None
-    policy = _adaptive_policy(spec, args)
-    adaptive: Optional[AdaptiveResult] = None
-    if policy is not None:
-        adaptive = run_sweep_adaptive(
-            spec,
-            workers=args.workers,
-            cache_dir=cache_dir,
-            force=args.force,
-            progress=True,
-            shard=shard,
-            policy=policy,
-            executor=args.executor,
-        )
-        results = adaptive.results
-    else:
-        results = run_sweep(
-            spec,
-            workers=args.workers,
-            cache_dir=cache_dir,
-            force=args.force,
-            progress=True,
-            shard=shard,
-            executor=args.executor,
-        )
-    _print_summary(spec, results)
-    if adaptive is not None:
-        _print_convergence(adaptive)
+    results, adaptive, _missing = sweep(
+        spec,
+        _adaptive_policy(spec, args),
+        workers=args.workers,
+        cache_dir=cache_dir,
+        force=args.force,
+        progress=True,
+        shard=shard,
+        executor=args.executor,
+    )
     # a shard writes suffixed artifacts so it never masquerades as the
     # full result set; `merge`/`export` produce the unsuffixed ones
     stem = f"{spec.name}.shard-{shard[0]}-of-{shard[1]}" if shard else spec.name
-    for path in _write_artifacts(
-        spec, results, args.out, args.format, name=stem, adaptive=adaptive
-    ):
-        print(f"wrote {path}")
+    _report(spec, results, adaptive, args, stem=stem)
     return 0
 
 
@@ -464,16 +432,9 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.cache_dir):
         print(f"export: no cache directory at {args.cache_dir!r}", file=sys.stderr)
         return 2
-    policy = _adaptive_policy(spec, args)
-    adaptive: Optional[AdaptiveResult] = None
-    if policy is not None:
-        adaptive, missing_ids = load_adaptive_results(
-            spec, args.cache_dir, policy=policy
-        )
-        results = adaptive.results
-    else:
-        results, missing_ids = load_cached_results(spec, args.cache_dir)
-    missing = len(missing_ids)
+    results, adaptive, missing = sweep(
+        spec, _adaptive_policy(spec, args), cache_dir=args.cache_dir, cache_only=True
+    )
     if not results:
         print(
             f"export: no cached results for sweep {spec.name!r} "
@@ -484,15 +445,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
         return 2
     if missing:
         print(
-            f"export: {missing} run(s) not cached (first: {missing_ids[0]}); "
+            f"export: {len(missing)} run(s) not cached (first: {missing[0]}); "
             "artifact is partial (use `run` to fill the cache)",
             file=sys.stderr,
         )
-    _print_summary(spec, results)
-    if adaptive is not None:
-        _print_convergence(adaptive)
-    for path in _write_artifacts(spec, results, args.out, args.format, adaptive=adaptive):
-        print(f"wrote {path}")
+    _report(spec, results, adaptive, args)
     return 0
 
 
@@ -511,31 +468,21 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    policy = _adaptive_policy(spec, args)
-    adaptive: Optional[AdaptiveResult] = None
-    if policy is not None:
-        # replay the adaptive stopping rule against the merged cache: the
-        # run set is whatever the per-point CI tests demand, not a static
-        # expansion, and any gap shows up as missing/incomplete below
-        adaptive, missing = load_adaptive_results(spec, args.cache_dir, policy=policy)
-        results = adaptive.results
-        expected = "the adaptive replay"
-    else:
-        results, missing = load_cached_results(spec, args.cache_dir)
-        expected = f"{spec.run_count} runs"
+    # replay the sweep against the merged cache; under a policy the run
+    # set is whatever the per-point CI tests demand, and a gap shows up
+    # as missing (the point as incomplete)
+    results, adaptive, missing = sweep(
+        spec, _adaptive_policy(spec, args), cache_dir=args.cache_dir, cache_only=True
+    )
     if missing:
         print(
-            f"merge: {len(missing)} run(s) of {expected} missing from the "
-            f"merged cache (first missing: {missing[0]}); run the remaining "
-            "shards (or check --seeds/--duration overrides) before merging",
+            f"merge: {len(missing)} run(s) missing from the merged cache "
+            f"(first missing: {missing[0]}); run the remaining shards (or "
+            "check --seeds/--duration overrides) before merging",
             file=sys.stderr,
         )
         return 1
-    _print_summary(spec, results)
-    if adaptive is not None:
-        _print_convergence(adaptive)
-    for path in _write_artifacts(spec, results, args.out, args.format, adaptive=adaptive):
-        print(f"wrote {path}")
+    _report(spec, results, adaptive, args)
     return 0
 
 

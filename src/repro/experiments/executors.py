@@ -1,9 +1,11 @@
 """Run-execution backends for the sweep orchestrator.
 
-:func:`~repro.experiments.orchestrator.run_sweep` hands its pending
-``(key, RunSpec)`` pairs to an :class:`Executor`, which maps them to
-recorded :class:`~repro.experiments.orchestrator.RunResult`\\ s.  Two
-backends ship, named in :data:`EXECUTORS`:
+The sweep loop (:func:`~repro.experiments.orchestrator.sweep`) hands
+each round's pending ``(key, RunSpec)`` pairs to an :class:`Executor`
+in one batch -- a fixed seed list is one round, so the pool starts once
+per sweep -- and the executor maps them to recorded
+:class:`~repro.experiments.orchestrator.RunResult`\\ s.  Two backends
+ship, named in :data:`EXECUTORS`:
 
 * ``serial`` -- a plain in-process loop; the debuggable reference
   implementation (breakpoints and profilers work, nothing forks).
@@ -32,7 +34,7 @@ DEFAULT_EXECUTOR = "process"
 
 
 class Executor:
-    """One run-execution strategy: the contract ``run_sweep`` dispatches to.
+    """One run-execution strategy: the contract the sweep loop dispatches to.
 
     :meth:`map_runs` executes every ``(key, RunSpec)`` pair of
     ``pending``, calling ``record(key, result)`` once per completed run
@@ -42,8 +44,7 @@ class Executor:
     itself, so record order may be completion order; determinism of the
     final result list is the orchestrator's job, and cache semantics are
     carried entirely by ``record``.  One instance may serve several
-    :meth:`map_runs` batches (the adaptive loop schedules one batch per
-    round).
+    :meth:`map_runs` batches (the sweep loop makes one batch per round).
     """
 
     #: backend name (its key in :data:`EXECUTORS`), for progress lines
@@ -112,8 +113,8 @@ class ProcessExecutor(Executor):
                     fail(run, exc)
 
 
-#: the executor backends by name; ``run_sweep(executor=)`` and
-#: ``--executor`` resolve here through :func:`make_executor`
+#: the executor backends by name; ``executor=`` and ``--executor``
+#: resolve here through :func:`make_executor`
 EXECUTORS = {"serial": SerialExecutor, "process": ProcessExecutor}
 
 

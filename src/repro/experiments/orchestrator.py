@@ -11,26 +11,31 @@ is the engine that executes such grids:
 * :func:`expand_spec` -- turn a spec into concrete :class:`RunSpec`\\ s
   (the cross product of every grid axis and every seed, with
   deterministic per-run RNG seeding).
-* :func:`run_sweep` -- execute the runs through an *executor*
+* :func:`sweep` -- the one sweep loop.  A sweep is a list of
+  ``(grid point, seed index)`` runs scheduled in rounds; each round is
+  resolved against an on-disk result cache keyed by a content hash of
+  (config, duration, seed, code version), so re-running a sweep only
+  executes what changed, and its misses execute through an *executor*
   (:mod:`repro.experiments.executors`: in-process ``serial`` or a
-  ``process`` pool -- the default), with an on-disk result cache keyed
-  by a content hash of (config, duration, seed, code version) so
-  re-running a sweep only executes what changed.  The cache is a
-  directory of ``<cache-key>.json`` files
-  (:mod:`repro.experiments.stores`).  The executor never enters the
-  cache key, so either one produces the same cache entries and
-  byte-identical artifacts.
+  ``process`` pool -- the default).  The cache is a directory of
+  ``<cache-key>.json`` files (:mod:`repro.experiments.stores`).  The
+  executor never enters the cache key, so either one produces the same
+  cache entries and byte-identical artifacts.
+* :func:`run_sweep` / :func:`load_cached_results` -- a fixed seed list
+  is a one-round schedule of that loop: exactly :func:`expand_spec`'s
+  runs, executed, or replayed from the cache alone.
 * :class:`RunResult` -- the typed record one run produces: the swept
   parameters, the seed, and a flat metrics dictionary.  JSON/CSV export
   via :func:`export_json` / :func:`export_csv`, mean +/- 95% CI
   aggregation via :func:`summarize`.
-* :class:`AdaptiveCI` / :func:`run_sweep_adaptive` -- *adaptive seed
-  replication*: instead of a fixed seed list, each grid point keeps
-  adding replication seeds in deterministic batches until the 95% CI
-  half-width of a chosen metric falls below a target (or ``max_seeds``
-  is reached, recorded as ``unconverged``).  Low-variance points stop
-  early, noisy ones get more seeds, and the whole loop rides the same
-  content-hash cache -- a re-run against a warm cache executes nothing.
+* :class:`AdaptiveCI` / :func:`run_sweep_adaptive` /
+  :func:`load_adaptive_results` -- *adaptive seed replication*: the
+  same loop under a policy.  Instead of a fixed seed list, each grid
+  point keeps adding replication seeds in deterministic batches, one
+  round at a time, until the 95% CI half-width of a chosen metric falls
+  below a target (or ``max_seeds`` is reached, recorded as
+  ``unconverged``).  Low-variance points stop early, noisy ones get
+  more seeds, and a re-run against a warm cache executes nothing.
 
 Example -- a 2-axis sweep with 3 replication seeds, run on 4 workers::
 
@@ -83,7 +88,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments.executors import Executor, make_executor
+from repro.experiments.executors import make_executor
 from repro.experiments.scenarios import PHY_SECTIONS, ScenarioConfig, config_axis_names
 from repro.experiments.stores import JsonStore
 from repro.registry import (
@@ -588,15 +593,25 @@ def expand_spec(spec: SweepSpec) -> List[RunSpec]:
     sweeping the seed itself (``grid={"seed": [...]}``) works without
     colliding with ``spec.seeds``.
     """
-    runs: List[RunSpec] = []
-    for point in expand_points(spec):
-        seed_values = (
-            (point.overrides["seed"],)
-            if "seed" in point.overrides
-            else spec.seeds
+    return [run for _token, run in _seed_list_runs(spec, expand_points(spec))]
+
+
+def _seed_list_runs(
+    spec: SweepSpec, points: Sequence[GridPoint]
+) -> List[Tuple[Tuple[int, int], RunSpec]]:
+    """Every ``((point index, seed index), run)`` of the fixed seed list.
+
+    :func:`expand_spec`'s runs, in its order, each tagged with its place
+    in the grid: the one-round schedule :func:`sweep` runs for a spec
+    without a replication policy.
+    """
+    return [
+        ((pi, si), point_run(spec, point, run_seed))
+        for pi, point in enumerate(points)
+        for si, run_seed in enumerate(
+            (point.overrides["seed"],) if "seed" in point.overrides else spec.seeds
         )
-        runs.extend(point_run(spec, point, run_seed) for run_seed in seed_values)
-    return runs
+    ]
 
 
 def adaptive_seed_sequence(spec: SweepSpec, policy: AdaptiveCI) -> List[int]:
@@ -735,40 +750,7 @@ def validate_runs(runs: Sequence[RunSpec]) -> None:
         raise SpecError("; ".join(problems))
 
 
-def load_cached_results(
-    spec: SweepSpec,
-    cache_dir: str,
-    shard: Optional[Tuple[int, int]] = None,
-) -> Tuple[List["RunResult"], List[str]]:
-    """Rehydrate ``spec``'s runs from a cache directory, running nothing.
-
-    Returns the cached results in expansion order -- re-labelled with this
-    spec's run ids and params, since the cache is keyed by content only --
-    plus the run ids of every cache miss.  ``cache_dir`` is the cache
-    directory's path or an open :class:`~repro.experiments.stores.JsonStore`;
-    the whole expansion resolves through one batch
-    :meth:`~repro.experiments.stores.ResultStore.scan`.  ``shard``
-    restricts the expansion to one shard.
-    """
-    cache = _open_cache(cache_dir)
-    runs = expand_spec(spec)
-    if shard is not None:
-        runs = shard_runs(runs, *shard)
-    keyed = [(index, run, run.cache_key()) for index, run in enumerate(runs)]
-    hits = _resolve_cached(cache, keyed)
-    results: List[RunResult] = []
-    missing: List[str] = []
-    for index, run, _key in keyed:
-        cached = hits.get(index)
-        if cached is None:
-            missing.append(run.run_id)
-        else:
-            _restamp(cached, run)
-            results.append(cached)
-    return results, missing
-
-
-def _restamp(result: RunResult, run: RunSpec, adaptive_round: int = 0) -> None:
+def _restamp(result: RunResult, run: RunSpec, adaptive_round: int) -> None:
     """Relabel a cached result under the consuming sweep's identity.
 
     The cache is keyed by content only, so the sweep-cosmetic fields --
@@ -941,7 +923,9 @@ def execute_run(run: RunSpec) -> RunResult:
 
     This is the function worker processes invoke; it builds the scenario,
     runs it, and flattens the report into picklable scalars -- the heavy
-    network object never crosses a process boundary.
+    network object never crosses a process boundary.  The result's
+    ``cache_key`` is left empty: :func:`sweep` computed the key to look
+    the run up, and stamps it on the result when it records it.
     """
     from repro.experiments.runner import run_scenario  # runner builds on this module
 
@@ -969,143 +953,12 @@ def execute_run(run: RunSpec) -> RunResult:
         duration=run.duration,
         metrics=metrics,
         wall_time=time.perf_counter() - started,
-        cache_key=run.cache_key(),
     )
 
 
 def _log(progress: bool, message: str) -> None:
     if progress:
         print(message, file=sys.stderr, flush=True)
-
-
-def _execute_pending(
-    backend: Optional[Executor],
-    pending: Sequence[tuple],
-    workers: int,
-    record: Callable[[Any, RunResult], None],
-    label: str,
-    progress: bool,
-) -> List[tuple]:
-    """Execute ``(key, RunSpec)`` pairs on ``backend``, calling ``record`` per result.
-
-    The shared engine under :func:`run_sweep` and the adaptive loop
-    (:mod:`repro.experiments.executors`; ``backend`` may be None only
-    when nothing is pending, as in a cache-only replay).  Every backend
-    honours the same drain contract: completed work is always recorded
-    (and thereby cached) even when other runs fail, failures are logged
-    through the same progress stream, and the ``(run_id, exception)``
-    failures are returned for the caller to raise on.
-    """
-    failures: List[tuple] = []
-
-    def fail(run: RunSpec, exc: Exception) -> None:
-        failures.append((run.run_id, exc))
-        _log(progress, f"[{label}] FAILED {run.run_id}: {exc!r}")
-
-    if pending:
-        backend.map_runs(list(pending), execute_run, record, fail, workers=workers)
-    return failures
-
-
-def run_sweep(
-    spec: SweepSpec,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    force: bool = False,
-    progress: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
-    executor: Optional[str] = None,
-) -> List[RunResult]:
-    """Execute every run of ``spec`` and return results in expansion order.
-
-    ``executor`` names the execution backend, ``serial`` or ``process``
-    (the default), resolved eagerly -- an unknown name raises
-    :class:`~repro.registry.RegistryError` listing the alternatives
-    before anything executes.  ``workers`` is the backend's parallelism:
-    pool size for ``process`` (1 runs in-process), ignored by
-    ``serial``.  The backend never enters cache keys or artifacts, so
-    results are byte-identical across executors.
-
-    With ``cache_dir`` set, completed runs are persisted and later
-    invocations only execute cache misses (``force=True`` re-runs
-    everything and refreshes the cache).  Deterministic seeding makes
-    this safe: a cached result is bit-identical to re-running the same
-    spec and seed.  ``cache_dir`` is the cache directory's path or an
-    open :class:`~repro.experiments.stores.JsonStore`.
-
-    ``shard=(index, count)`` executes only that 1-based shard of the
-    expansion (see :func:`shard_runs`): ``count`` jobs sharing nothing but
-    ``cache_dir`` cover the grid exactly once, after which
-    :func:`merge_caches` (or any single job reading the shared cache)
-    reassembles the full result set.
-    """
-    runs = expand_spec(spec)
-    label = spec.name
-    if shard is not None:
-        runs = shard_runs(runs, *shard)
-        label = f"{spec.name} shard {shard[0]}/{shard[1]}"
-    validate_runs(runs)
-    backend = make_executor(executor)
-    cache = _open_cache(cache_dir)
-
-    results: Dict[int, RunResult] = {}
-    pending: List[tuple] = []          # (index, RunSpec)
-    keyed = [(index, run, run.cache_key()) for index, run in enumerate(runs)]
-    hits = (
-        _resolve_cached(cache, keyed)  # one batch scan, not N point reads
-        if cache is not None and not force
-        else {}
-    )
-    for index, run, _key in keyed:
-        cached = hits.get(index)
-        if cached is not None:
-            _restamp(cached, run)      # cosmetic: report under this sweep's id
-            results[index] = cached
-        else:
-            pending.append((index, run))
-
-    hit_count = len(runs) - len(pending)
-    _log(
-        progress,
-        f"[{label}] {len(runs)} runs: {hit_count} cache hits, "
-        f"{len(pending)} to execute on {backend.describe(workers)}",
-    )
-
-    done = 0
-
-    def record(index: int, result: RunResult) -> None:
-        nonlocal done
-        results[index] = result
-        if cache is not None:
-            cache.put(result.cache_key, result)
-        done += 1
-        pdr = result.metrics.get("pdr")
-        pdr_note = f" pdr={pdr:.3f}" if isinstance(pdr, float) else ""
-        _log(
-            progress,
-            f"[{label}] ({done}/{len(pending)}) {result.run_id}"
-            f"{pdr_note} ({result.wall_time:.1f}s)",
-        )
-
-    failures = _execute_pending(backend, pending, workers, record, label, progress)
-    if failures:
-        completed = len(runs) - len(failures)
-        detail = "; ".join(f"{run_id}: {exc!r}" for run_id, exc in failures[:5])
-        if len(failures) > 5:
-            detail += f"; ... {len(failures) - 5} more"
-        raise SweepError(
-            f"{len(failures)} of {len(runs)} runs failed in sweep {label!r} "
-            f"({completed} completed"
-            + (", cached -- a re-run resumes from them" if cache is not None else "")
-            + f"): {detail}"
-        )
-
-    _warn_corrupt(cache, label, progress)
-    _log(
-        progress,
-        f"[{label}] done: {hit_count} cached + {len(pending)} executed",
-    )
-    return [results[i] for i in range(len(runs))]
 
 
 # ---------------------------------------------------------------------------
@@ -1196,155 +1049,180 @@ def _metric_values(
     return values
 
 
-def _adaptive_sweep(
-    spec: SweepSpec,
-    policy: AdaptiveCI,
-    workers: int,
-    cache: Optional[JsonStore],
-    force: bool,
-    progress: bool,
-    shard: Optional[Tuple[int, int]],
-    cache_only: bool,
-    backend: Optional[Executor] = None,
-) -> Tuple[AdaptiveResult, List[str]]:
-    """The sequential-sampling loop shared by live runs and cache replay.
 
-    Every round schedules the next seed block for each still-active grid
-    point (sized by the policy's -- possibly variance-aware -- batching),
-    resolves it against the cache, executes the misses through the chosen
-    executor backend (or, with ``cache_only``, records them as missing
-    and marks the point ``incomplete``), then re-tests each point's CI
-    half-width.  Stopping decisions -- batch growth included -- depend
-    only on the deterministic seed schedule and the per-run results, so a
-    replay over a warm (or merged shard) cache reproduces the exact run
-    set without executing anything.
+
+# ---------------------------------------------------------------------------
+# The sweep loop
+# ---------------------------------------------------------------------------
+
+
+def sweep(
+    spec: SweepSpec,
+    policy: Optional[AdaptiveCI] = None,
+    *,
+    workers: int = 1,
+    cache_dir: Optional[Any] = None,
+    force: bool = False,
+    progress: bool = False,
+    shard: Optional[Tuple[int, int]] = None,
+    executor: Optional[str] = None,
+    cache_only: bool = False,
+) -> Tuple[List[RunResult], Optional[AdaptiveResult], List[str]]:
+    """Run ``spec`` round by round; the one loop behind every sweep.
+
+    :func:`run_sweep`, :func:`run_sweep_adaptive`,
+    :func:`load_cached_results`, :func:`load_adaptive_results` and the
+    CLI all call this.  A sweep is a list of ``(grid point, seed index)``
+    runs, scheduled in rounds:
+
+    * without a ``policy`` the seed list is a one-round schedule: exactly
+      :func:`expand_spec`'s runs, in its order (``shard`` keeps the
+      :func:`shard_runs` slice of them), after which the loop stops;
+    * under a policy every grid point starts with ``min_seeds`` seeds of
+      :func:`adaptive_seed_sequence` (``shard`` keeps whole points,
+      :func:`shard_points`).  After each round every still-active point
+      is re-tested, and one whose CI half-width is above the target and
+      which is short of ``max_seeds`` is scheduled its next batch.
+
+    The executor name resolves and the first round's runs validate
+    before the cache opens, so a typo creates no cache directory.  Each
+    round then resolves its runs against the cache in one batch scan and
+    executes the misses in one executor ``map_runs`` call.  Completed
+    runs are recorded, and cached, before a failure raises
+    :class:`SweepError`.  With ``cache_only`` the misses are listed
+    instead of executed: a seed list still returns every cached run, but
+    a policy ends a point at its first gap as ``incomplete``, since its
+    stopping rule cannot be replayed past it.
+
+    Returns ``(results, report, missing)``: the results in point-major
+    seed order, the convergence report (None without a policy) and the
+    run ids of the cache misses.
     """
+    backend = make_executor(executor)
     points = expand_points(spec)
-    for point in points:
-        if "seed" in point.overrides:
-            raise SpecError(
-                f"adaptive sweep {spec.name!r}: grid point {point.label!r} "
-                "pins an explicit 'seed' override; adaptive replication "
-                "drives the seed dimension itself, so a seed axis cannot "
-                "be combined with it"
-            )
-    label = f"{spec.name} adaptive"
+    label = spec.name if policy is None else f"{spec.name} adaptive"
+    if policy is None:
+        scheduled = _seed_list_runs(spec, points)
+        if shard is not None:
+            scheduled = shard_runs(scheduled, *shard)
+    else:
+        for point in points:
+            if "seed" in point.overrides:
+                raise SpecError(
+                    f"adaptive sweep {spec.name!r}: grid point {point.label!r} "
+                    "pins an explicit 'seed' override; adaptive replication "
+                    "drives the seed dimension itself, so a seed axis cannot "
+                    "be combined with it"
+                )
+        if shard is not None:
+            points = shard_points(points, *shard)
+        seeds = adaptive_seed_sequence(spec, policy)
+        # each point's stopping state: the rounds it took part in, its
+        # verdict and its next seed-batch size (which grows under a
+        # variance-aware policy)
+        rounds = [0] * len(points)
+        status = [""] * len(points)
+        batch_size = [policy.batch] * len(points)
+        active = list(range(len(points)))
+        scheduled = [
+            ((pi, si), point_run(spec, point, seeds[si]))
+            for pi, point in enumerate(points)
+            for si in range(policy.min_seeds)
+        ]
     if shard is not None:
-        points = shard_points(points, *shard)
-        label = f"{spec.name} adaptive shard {shard[0]}/{shard[1]}"
-    seeds = adaptive_seed_sequence(spec, policy)
+        label += f" shard {shard[0]}/{shard[1]}"
+    validate_runs([run for _token, run in scheduled])
+    cache = _open_cache(cache_dir)
 
     collected: List[List[RunResult]] = [[] for _ in points]
-    rounds: List[int] = [0] * len(points)
-    status: List[str] = [""] * len(points)
-    #: next seed-batch size per point; grows under a variance-aware policy
-    batch_size: List[int] = [policy.batch] * len(points)
+    gaps = set()                  # points with a run a cache-only replay lacks
     missing: List[str] = []
-    report = AdaptiveResult(sweep=spec.name, policy=policy)
-
-    active = list(range(len(points)))
-    validated = False
+    executed = cached = 0
     round_idx = 0
-    while active:
-        # 1. schedule this round's seed block per active point.  The
-        # stamped provenance is the scheduling round itself: positional
-        # under fixed batching, and still deterministic under
-        # variance-aware growth (batch sizes derive from cached results),
-        # so live runs, cache hits and replays all stamp the same rounds.
-        scheduled: List[Tuple[Tuple[int, int], RunSpec]] = []
-        for pi in active:
-            have = len(collected[pi])
-            want = (
-                policy.min_seeds
-                if round_idx == 0
-                else min(have + batch_size[pi], policy.max_seeds)
-            )
-            scheduled.extend(
-                ((pi, si), point_run(spec, points[pi], seeds[si]))
-                for si in range(have, want)
-            )
-        if not validated:
-            validate_runs([run for _key, run in scheduled])
-            validated = True
-
-        # 2. resolve against the cache (one batch scan per round); collect
-        # what must execute
-        staged: Dict[Tuple[int, int], RunResult] = {}
-        pending: List[Tuple[Tuple[int, int], RunSpec]] = []
-        incomplete = set()
-        keyed = [(key, run, run.cache_key()) for key, run in scheduled]
-        hits = (
+    while scheduled:
+        # 1. resolve the round against the cache (one batch scan).  The
+        # stamped provenance is the scheduling round itself, so live
+        # runs, cache hits and replays all stamp the same rounds.
+        where = label if policy is None else f"{label} round {round_idx}"
+        keyed = [(token, run, run.cache_key()) for token, run in scheduled]
+        staged = (
             _resolve_cached(cache, keyed)
             if cache is not None and not force
             else {}
         )
-        for key, run, _ck in keyed:
-            cached = hits.get(key)
-            if cached is not None:
-                _restamp(cached, run, adaptive_round=round_idx)
-                staged[key] = cached
-                report.cached += 1
-            elif cache_only:
-                missing.append(run.run_id)
-                incomplete.add(key[0])
-            else:
-                pending.append((key, run))
-
+        pending: List[tuple] = []        # ((token, cache key), RunSpec)
+        for token, run, key in keyed:
+            if token in staged:
+                _restamp(staged[token], run, round_idx)
+            elif not cache_only:
+                pending.append(((token, key), run))
+        cached += len(staged)
         _log(
             progress,
-            f"[{label}] round {round_idx}: {len(active)} point(s) active, "
-            f"{len(scheduled)} run(s): {len(scheduled) - len(pending)} cache "
-            f"hits, {len(pending)} to execute on "
-            + (
-                backend.describe(workers)
-                if backend is not None
-                else f"{max(1, workers)} worker(s)"
-            ),
+            f"[{where}] {len(scheduled)} runs: {len(staged)} cache hits, "
+            f"{len(pending)} to execute on {backend.describe(workers)}",
         )
 
-        # 3. execute the misses (never entered during cache-only replay)
+        # 2. execute the misses: every run is drained, and each completed
+        # one recorded (and cached) even when others fail
+        failures: List[Tuple[str, Exception]] = []
         done = 0
 
-        def record(key: Tuple[int, int], result: RunResult) -> None:
+        def record(token_key: tuple, result: RunResult) -> None:
             nonlocal done
+            token, key = token_key
+            result.cache_key = key
             result.adaptive_round = round_idx
-            staged[key] = result
+            staged[token] = result
             if cache is not None:
-                cache.put(result.cache_key, result)
+                cache.put(key, result)
             done += 1
+            pdr = result.metrics.get("pdr")
+            pdr_note = f" pdr={pdr:.3f}" if isinstance(pdr, float) else ""
             _log(
                 progress,
-                f"[{label}] ({done}/{len(pending)}) {result.run_id} "
-                f"({result.wall_time:.1f}s)",
+                f"[{where}] ({done}/{len(pending)}) {result.run_id}"
+                f"{pdr_note} ({result.wall_time:.1f}s)",
             )
 
-        failures = _execute_pending(backend, pending, workers, record, label, progress)
-        report.executed += len(pending) - len(failures)
+        def fail(run: RunSpec, exc: Exception) -> None:
+            failures.append((run.run_id, exc))
+            _log(progress, f"[{where}] FAILED {run.run_id}: {exc!r}")
+
+        if pending:
+            backend.map_runs(pending, execute_run, record, fail, workers=workers)
         if failures:
-            detail = "; ".join(f"{rid}: {exc!r}" for rid, exc in failures[:5])
+            detail = "; ".join(f"{run_id}: {exc!r}" for run_id, exc in failures[:5])
             if len(failures) > 5:
                 detail += f"; ... {len(failures) - 5} more"
             raise SweepError(
-                f"{len(failures)} of {len(scheduled)} runs failed in round "
-                f"{round_idx} of adaptive sweep {label!r}"
-                + (
-                    " (completed runs are cached -- a re-run resumes from them)"
-                    if cache is not None
-                    else ""
-                )
-                + f": {detail}"
+                f"{len(failures)} of {len(scheduled)} runs failed in sweep "
+                f"{where!r} ({len(scheduled) - len(failures)} completed"
+                + (", cached -- a re-run resumes from them" if cache is not None else "")
+                + f"): {detail}"
             )
+        executed += len(pending)
 
-        # 4. fold the round's results in and re-test each point's CI
+        # 3. fold the round in, in schedule order: a seed list keeps every
+        # cached run, a policy stops a point at its first gap
+        for token, run in scheduled:
+            result = staged.get(token)
+            if result is None:
+                missing.append(run.run_id)
+                gaps.add(token[0])
+            elif policy is None or token[0] not in gaps:
+                collected[token[0]].append(result)
         round_idx += 1
-        next_active = []
+        if policy is None:
+            break
+
+        # 4. re-test each active point's CI; schedule the next seed block
+        # of every point that is neither converged nor out of seeds
+        scheduled = []
+        still_active = []
         for pi in active:
             rounds[pi] += 1
-            si = len(collected[pi])
-            while (pi, si) in staged:
-                collected[pi].append(staged[(pi, si)])
-                si += 1
-            if pi in incomplete:
+            if pi in gaps:
                 status[pi] = "incomplete"
                 continue
             values = _metric_values(collected[pi], policy, spec.name)
@@ -1357,7 +1235,7 @@ def _adaptive_sweep(
                     f"{len(values)} seed(s) (half-width {half_width:g} <= "
                     f"{policy.target_half_width:g})",
                 )
-            elif len(collected[pi]) >= policy.max_seeds:
+            elif len(values) >= policy.max_seeds:
                 status[pi] = "unconverged"
                 _log(
                     progress,
@@ -1367,38 +1245,129 @@ def _adaptive_sweep(
                 )
             else:
                 batch_size[pi] = policy.next_batch(batch_size[pi], half_width)
-                next_active.append(pi)
-        active = next_active
+                want = min(len(values) + batch_size[pi], policy.max_seeds)
+                scheduled.extend(
+                    ((pi, si), point_run(spec, points[pi], seeds[si]))
+                    for si in range(len(values), want)
+                )
+                still_active.append(pi)
+        active = still_active
 
-    for pi, point in enumerate(points):
-        report.results.extend(collected[pi])
-        if collected[pi] and status[pi] != "incomplete":
-            mean, half_width = mean_ci95(
-                _metric_values(collected[pi], policy, spec.name)
-            )
-        else:
+    results = [result for block in collected for result in block]
+    report = None
+    summary = f"{cached} cached + {executed} executed"
+    if policy is not None:
+        report = AdaptiveResult(
+            sweep=spec.name,
+            policy=policy,
+            results=results,
+            executed=executed,
+            cached=cached,
+        )
+        for pi, point in enumerate(points):
             mean = half_width = 0.0
-        report.points.append(
-            PointConvergence(
-                point=point.label,
-                params=dict(point.params),
-                n_seeds=len(collected[pi]),
-                rounds=rounds[pi],
-                mean=round(mean, 6),
-                half_width=round(half_width, 6),
-                target=policy.target_half_width,
-                status=status[pi],
+            if collected[pi] and status[pi] != "incomplete":
+                mean, half_width = mean_ci95(
+                    _metric_values(collected[pi], policy, spec.name)
+                )
+            report.points.append(
+                PointConvergence(
+                    point=point.label,
+                    params=dict(point.params),
+                    n_seeds=len(collected[pi]),
+                    rounds=rounds[pi],
+                    mean=round(mean, 6),
+                    half_width=round(half_width, 6),
+                    target=policy.target_half_width,
+                    status=status[pi],
+                )
             )
+        summary += (
+            f"; {len(report.converged)}/{len(points)} point(s) converged "
+            f"in {round_idx} round(s)"
         )
     _warn_corrupt(cache, label, progress)
-    _log(
-        progress,
-        f"[{label}] done: {len(report.converged)}/{len(points)} point(s) "
-        f"converged in {round_idx} round(s); {report.executed} executed + "
-        f"{report.cached} cached = {len(report.results)} runs "
-        f"(fixed grid at max_seeds: {report.fixed_equivalent_runs})",
+    _log(progress, f"[{label}] done: {summary}")
+    return results, report, missing
+
+
+def _policy_of(spec: SweepSpec, policy: Optional[AdaptiveCI]) -> AdaptiveCI:
+    """``policy``, else the spec's own; an adaptive sweep needs one."""
+    policy = policy or spec.replication
+    if policy is None:
+        raise SpecError(
+            f"sweep {spec.name!r} has no adaptive replication policy: attach "
+            "SweepSpec(replication=AdaptiveCI(...)) or pass policy="
+        )
+    return policy
+
+
+def run_sweep(
+    spec: SweepSpec,
+    workers: int = 1,
+    cache_dir: Optional[str] = None,
+    force: bool = False,
+    progress: bool = False,
+    shard: Optional[Tuple[int, int]] = None,
+    executor: Optional[str] = None,
+) -> List[RunResult]:
+    """Execute every run of ``spec`` and return results in expansion order.
+
+    The spec's seed list as one round of :func:`sweep`: exactly
+    :func:`expand_spec`'s runs (``spec.replication`` is ignored).
+
+    ``executor`` names the execution backend, ``serial`` or ``process``
+    (the default), resolved eagerly -- an unknown name raises
+    :class:`~repro.registry.RegistryError` listing the alternatives
+    before anything executes.  ``workers`` is the backend's parallelism:
+    pool size for ``process`` (1 runs in-process), ignored by
+    ``serial``.  The backend never enters cache keys or artifacts, so
+    results are byte-identical across executors.
+
+    With ``cache_dir`` set, completed runs are persisted and later
+    invocations only execute cache misses (``force=True`` re-runs
+    everything and refreshes the cache).  Deterministic seeding makes
+    this safe: a cached result is bit-identical to re-running the same
+    spec and seed.  ``cache_dir`` is the cache directory's path or an
+    open :class:`~repro.experiments.stores.JsonStore`.
+
+    ``shard=(index, count)`` executes only that 1-based shard of the
+    expansion (see :func:`shard_runs`): ``count`` jobs sharing nothing but
+    ``cache_dir`` cover the grid exactly once, after which
+    :func:`merge_caches` (or any single job reading the shared cache)
+    reassembles the full result set.
+    """
+    results, _report, _missing = sweep(
+        spec,
+        workers=workers,
+        cache_dir=cache_dir,
+        force=force,
+        progress=progress,
+        shard=shard,
+        executor=executor,
     )
-    return report, missing
+    return results
+
+
+def load_cached_results(
+    spec: SweepSpec,
+    cache_dir: str,
+    shard: Optional[Tuple[int, int]] = None,
+) -> Tuple[List[RunResult], List[str]]:
+    """Rehydrate ``spec``'s runs from a cache directory, running nothing.
+
+    Returns the cached results in expansion order -- re-labelled with this
+    spec's run ids and params, since the cache is keyed by content only --
+    plus the run ids of every cache miss.  ``cache_dir`` is the cache
+    directory's path or an open :class:`~repro.experiments.stores.JsonStore`;
+    the runs are validated like :func:`run_sweep`'s and resolve through
+    one batch :meth:`~repro.experiments.stores.ResultStore.scan`.
+    ``shard`` restricts the expansion to one shard.
+    """
+    results, _report, missing = sweep(
+        spec, cache_dir=cache_dir, shard=shard, cache_only=True
+    )
+    return results, missing
 
 
 def run_sweep_adaptive(
@@ -1431,23 +1400,15 @@ def run_sweep_adaptive(
     see :func:`shard_points`); shard jobs sharing nothing but merged
     caches reproduce the unsharded result set exactly.
     """
-    policy = policy or spec.replication
-    if policy is None:
-        raise SpecError(
-            f"sweep {spec.name!r} has no adaptive replication policy: attach "
-            "SweepSpec(replication=AdaptiveCI(...)) or pass policy="
-        )
-    backend = make_executor(executor)
-    report, _missing = _adaptive_sweep(
+    _results, report, _missing = sweep(
         spec,
-        policy,
+        _policy_of(spec, policy),
         workers=workers,
-        cache=_open_cache(cache_dir),
+        cache_dir=cache_dir,
         force=force,
         progress=progress,
         shard=shard,
-        cache_only=False,
-        backend=backend,
+        executor=executor,
     )
     return report
 
@@ -1469,22 +1430,10 @@ def load_adaptive_results(
     status ``incomplete``, since its stopping decision cannot be replayed
     past the gap.
     """
-    policy = policy or spec.replication
-    if policy is None:
-        raise SpecError(
-            f"sweep {spec.name!r} has no adaptive replication policy: attach "
-            "SweepSpec(replication=AdaptiveCI(...)) or pass policy="
-        )
-    return _adaptive_sweep(
-        spec,
-        policy,
-        workers=1,
-        cache=_open_cache(cache_dir),
-        force=False,
-        progress=False,
-        shard=shard,
-        cache_only=True,
+    _results, report, missing = sweep(
+        spec, _policy_of(spec, policy), cache_dir=cache_dir, shard=shard, cache_only=True
     )
+    return report, missing
 
 
 # ---------------------------------------------------------------------------

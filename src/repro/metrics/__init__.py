@@ -12,9 +12,6 @@
   structure experiments fill and benchmark tables print; its
   ``flat_row()`` is the scalar form orchestrator workers ship across
   process boundaries.
-* :mod:`repro.metrics.visualization` -- ASCII renderings (VC grid,
-  hypercube occupancy, bar charts, sparklines, delivery timelines) for
-  terminal-friendly experiment output.
 """
 
 from repro.metrics.delivery import DeliveryMetrics, compute_delivery_metrics
@@ -32,13 +29,6 @@ from repro.metrics.availability import (
     compute_availability,
 )
 from repro.metrics.collectors import MetricsReport, collect_metrics
-from repro.metrics.visualization import (
-    render_vc_grid,
-    render_hypercube_occupancy,
-    bar_chart,
-    sparkline,
-    render_delivery_timeline,
-)
 
 __all__ = [
     "DeliveryMetrics",
@@ -55,9 +45,4 @@ __all__ = [
     "compute_availability",
     "MetricsReport",
     "collect_metrics",
-    "render_vc_grid",
-    "render_hypercube_occupancy",
-    "bar_chart",
-    "sparkline",
-    "render_delivery_timeline",
 ]

@@ -6,7 +6,7 @@ validation, the deterministic per-point seed schedule, per-point stopping
 target or ``max_seeds``), round provenance, that stopping decisions are a
 pure function of the cache (a re-run executes nothing; sharded runs merge
 byte-identically to unsharded), and the CLI surface
-(``--adaptive``/``--target-ci`` plus the convergence report).
+(``--target-ci``/``--ci-metric`` plus the convergence report).
 """
 
 import dataclasses
@@ -190,13 +190,16 @@ class TestAdaptiveStopping:
         with pytest.raises(SpecError, match="no_such_metric.*numeric metrics"):
             run_sweep_adaptive(spec, workers=1)
 
-    def test_seed_axis_incompatible(self):
+    def test_seed_axis_incompatible(self, tmp_path):
         spec = tiny_spec(
             grid={"seed": [3, 4]},
             replication=AdaptiveCI(target_half_width=0.1),
         )
+        cache_dir = tmp_path / "cache"
         with pytest.raises(SpecError, match="seed"):
-            run_sweep_adaptive(spec, workers=1)
+            run_sweep_adaptive(spec, workers=1, cache_dir=str(cache_dir))
+        # rejected before the cache directory is even created
+        assert not cache_dir.exists()
 
     def test_missing_policy_raises(self):
         with pytest.raises(SpecError, match="no adaptive replication policy"):
@@ -345,12 +348,6 @@ class TestCliAdaptive:
         )
         assert code == 1
         assert "missing" in capsys.readouterr().err
-
-    def test_adaptive_flag_without_target_is_an_error(self, capsys):
-        from repro.experiments.__main__ import main
-
-        assert main(["run", "smoke", "--adaptive", "--format", "none"]) == 2
-        assert "--target-ci" in capsys.readouterr().err
 
     def test_ci_metric_without_adaptive_is_an_error(self, capsys):
         from repro.experiments.__main__ import main

@@ -160,6 +160,41 @@ class TestPacketHandlingRules:
         assert network.node(0).stats.delivered_to_application == 0
 
 
+def _route_beacon(sender, receiver, hnid, hid):
+    return Packet(
+        kind=PacketKind.CONTROL,
+        protocol=HVDB_PROTOCOL,
+        msg_type="route-beacon",
+        source=sender,
+        destination=receiver,
+        payload={"hnid": hnid, "hid": hid, "sent_at": 0.0, "routes": []},
+        created_at=0.0,
+    )
+
+
+class TestRouteBeacons:
+    def test_beacon_from_a_logical_neighbour_records_the_link(self):
+        network, stack = build_hvdb_network(dense_grid_positions())
+        agent = stack.agents[0]
+        peer = stack.model.logical_neighbors_of_ch(0)[0]
+        peer_address = stack.model.address_of_ch(peer)
+        agent.on_packet(
+            _route_beacon(peer, 0, peer_address.hnid, peer_address.hid), from_node=peer
+        )
+        assert agent.route_table.neighbor_hnids() == [peer_address.hnid]
+
+    def test_stale_beacon_carrying_the_receivers_own_hnid_is_dropped(self):
+        # a beacon sent just before a model rebuild can reach the node
+        # that now holds the sender's hnid; it used to raise ValueError
+        # ("a CH has no logical link to itself") and abort the run
+        network, stack = build_hvdb_network(dense_grid_positions())
+        agent = stack.agents[0]
+        own = stack.model.address_of_ch(0)
+        peer = stack.model.logical_neighbors_of_ch(0)[0]
+        agent.on_packet(_route_beacon(peer, 0, own.hnid, own.hid), from_node=peer)
+        assert agent._ensure_route_table().neighbor_hnids() == []
+
+
 class TestParameters:
     def test_default_parameters_sane(self):
         params = HVDBParameters()

@@ -29,6 +29,7 @@ from repro.experiments.orchestrator import (
     AdaptiveResult,
     PointConvergence,
     RunResult,
+    RunSpec,
     SweepError,
     SweepSpec,
     _canonical,
@@ -38,10 +39,12 @@ from repro.experiments.orchestrator import (
     expand_spec,
     export_csv,
     export_json,
+    load_cached_results,
     load_csv,
     load_json,
     mean_ci95,
     run_sweep,
+    shard_runs,
     summarize,
 )
 from repro.experiments.scenarios import PHY_SECTIONS, ScenarioConfig
@@ -429,6 +432,80 @@ class TestCache:
         cache.put(key, result)
         assert cache.get(key).metrics == result.metrics
         assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_each_run_key_is_computed_once(self, tmp_path, monkeypatch):
+        # the loop stamps the key it looked a run up by onto the result,
+        # so a cold sweep does not hash a run's config a second time
+        calls = []
+        original = RunSpec.cache_key
+
+        def counting(run):
+            calls.append(run.run_id)
+            return original(run)
+
+        monkeypatch.setattr(RunSpec, "cache_key", counting)
+        spec = tiny_spec(seeds=(1, 2), grid={})
+        cache_dir = str(tmp_path / "cache")
+        results = run_sweep(spec, cache_dir=cache_dir, executor="serial")
+        assert len(calls) == 2
+        monkeypatch.undo()
+
+        keys = [run.cache_key() for run in expand_spec(spec)]
+        assert [r.cache_key for r in results] == keys
+        assert sorted(os.listdir(cache_dir)) == sorted(f"{key}.json" for key in keys)
+        # without a cache every result still carries its key
+        uncached = run_sweep(spec, executor="serial")
+        assert [r.cache_key for r in uncached] == keys
+
+
+class TestOneSweepLoop:
+    """A seed list is one round of the sweep loop: exactly ``expand_spec``."""
+
+    def test_runs_expand_spec_in_order_with_seed_and_label_axes(self):
+        spec = tiny_spec(
+            grid={
+                "variant": [{"variant": "a"}, {"variant": "b", "group_size": 3}],
+                "seed": [5, 6],
+            },
+            seeds=(1, 2, 3),
+            duration=4.0,
+        )
+        expected = expand_spec(spec)
+        results = run_sweep(spec, workers=1)
+        assert [r.run_id for r in results] == [run.run_id for run in expected]
+        assert [r.seed for r in results] == [5, 6, 5, 6]
+
+    def test_a_shard_runs_its_slice_of_expand_spec(self, tmp_path):
+        spec = tiny_spec(duration=4.0)
+        runs = expand_spec(spec)
+        cache_dir = str(tmp_path / "cache")
+        for index in (1, 2, 3):
+            results = run_sweep(spec, cache_dir=cache_dir, shard=(index, 3))
+            assert [r.run_id for r in results] == [
+                run.run_id for run in shard_runs(runs, index, 3)
+            ]
+            assert not any(r.from_cache for r in results)
+        assert len(os.listdir(cache_dir)) == len(runs)
+
+    def test_replication_policy_is_ignored(self):
+        spec = tiny_spec(
+            grid={},
+            seeds=(2, 1, 2),
+            duration=4.0,
+            replication=AdaptiveCI(target_half_width=0.01, min_seeds=4, max_seeds=6),
+        )
+        results = run_sweep(spec, workers=1)
+        assert [r.seed for r in results] == [2, 1, 2]
+        assert [r.adaptive_round for r in results] == [0, 0, 0]
+
+    def test_replay_keeps_every_cached_run_past_a_gap(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        run_sweep(tiny_spec(grid={}, seeds=(1, 3), duration=4.0), cache_dir=cache_dir)
+        spec = tiny_spec(grid={}, seeds=(1, 2, 3), duration=4.0)
+        results, missing = load_cached_results(spec, cache_dir)
+        assert [r.seed for r in results] == [1, 3]
+        assert all(r.from_cache for r in results)
+        assert missing == [expand_spec(spec)[1].run_id]
 
 
 class TestExport:
