@@ -24,9 +24,11 @@ adaptive-smoke:
 
 ## seconds-long end-to-end check of the physical layer: the phy_smoke
 ## sweep (one run per registered radio x MAC combination, sinr and
-## csma_ca included), a warm re-run that must execute nothing, and the
+## csma_ca included), a warm re-run that must execute nothing, the
 ## physics-fingerprint regression suite (golden metric rows, every
-## registered spec's cache keys, artifact hashes)
+## registered spec's cache keys, artifact hashes) and the sinr radio's
+## interferer lookup against a verbatim copy of the spatial-hash lookup
+## it replaced (same interferers, same order, same SINR)
 PHY_SMOKE_DIR := .ci/phy-smoke
 phy-smoke:
 	rm -rf $(PHY_SMOKE_DIR)
@@ -36,8 +38,8 @@ phy-smoke:
 	  --cache-dir $(PHY_SMOKE_DIR)/cache --format none 2>&1 \
 	  | grep -q "+ 0 executed" \
 	  || { echo "phy gate: warm re-run executed runs (expected 0)"; exit 1; }
-	$(PYTHON) -m pytest -q tests/test_phy_fingerprint.py
-	@echo "make phy-smoke: OK (3x3 radio/MAC grid, warm zero-exec replay, fingerprints match golden)"
+	$(PYTHON) -m pytest -q tests/test_phy_fingerprint.py tests/test_phy_interference.py
+	@echo "make phy-smoke: OK (3x3 radio/MAC grid, warm zero-exec replay, fingerprints match golden, interferer lookup matches its reference)"
 
 ## the repo benchmark as a gate: each perfbench workload runs one
 ## operation, then the two simulator workloads run once more traced
@@ -108,7 +110,7 @@ check: test bench-smoke adaptive-smoke phy-smoke perf-check docs-check protocol-
 ## reassemble the full grid, the adaptive smoke sweep (run + a
 ## warm-cache re-run that must execute zero runs), the physical-layer
 ## smoke (3x3 radio/MAC grid, warm zero-exec replay, golden
-## fingerprints), the benchmark gate (every perfbench workload reproduces its reference
+## fingerprints, interferer-lookup reference), the benchmark gate (every perfbench workload reproduces its reference
 ## under its wall-time ceiling) and the paper's claims (make bench)
 CI_DIR := .ci
 ci: test docs-check protocol-coverage

@@ -372,13 +372,18 @@ def canonical_config(config: ScenarioConfig) -> Dict[str, Any]:
     spec blocks byte-stable across releases that add phy sections.
     (Sweeping ``sinr.capture_db`` under ``radio="unit_disk"`` therefore
     deliberately collapses to one cache entry -- the physics genuinely
-    cannot differ.)
+    cannot differ.)  An inactive section is skipped, not canonicalised.
     """
-    data = _canonical(config)
-    for section, selector in PHY_SECTIONS.items():
-        if getattr(config, selector, None) != section:
-            data.pop(section, None)
-    return data
+    inactive = [
+        section
+        for section, selector in PHY_SECTIONS.items()
+        if getattr(config, selector, None) != section
+    ]
+    return {
+        name: _canonical(getattr(config, name))
+        for name in _sorted_field_names(type(config))
+        if name not in inactive
+    }
 
 
 @dataclass
@@ -410,10 +415,13 @@ class SweepSpec:
 
     @property
     def run_count(self) -> int:
-        count = 1
-        for values in self.grid.values():
-            count *= len(values)
-        return count * len(self.seeds)
+        """Runs of the fixed seed list: :func:`expand_spec`'s count, unexpanded.
+
+        A grid point that pins ``seed`` runs once; every other point runs
+        once per replication seed.  Raises :class:`SpecError` where
+        :func:`expand_points` does (an empty axis or seed list).
+        """
+        return sum(len(_point_seeds(self, point)) for point in expand_points(self))
 
     def expand(self) -> List[RunSpec]:
         return expand_spec(self)
@@ -608,10 +616,17 @@ def _seed_list_runs(
     return [
         ((pi, si), point_run(spec, point, run_seed))
         for pi, point in enumerate(points)
-        for si, run_seed in enumerate(
-            (point.overrides["seed"],) if "seed" in point.overrides else spec.seeds
-        )
+        for si, run_seed in enumerate(_point_seeds(spec, point))
     ]
+
+
+def _point_seeds(spec: SweepSpec, point: GridPoint) -> Sequence[int]:
+    """One point's replication seeds in the fixed seed list.
+
+    The seed the point pins (a ``"seed"`` axis or override), or else
+    every seed of ``spec.seeds``.
+    """
+    return (point.overrides["seed"],) if "seed" in point.overrides else spec.seeds
 
 
 def adaptive_seed_sequence(spec: SweepSpec, policy: AdaptiveCI) -> List[int]:

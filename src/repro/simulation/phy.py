@@ -9,10 +9,11 @@ and bitrate, binary exponential backoff and an optional per-node
 duty-cycle budget -- as *registered components*:
 
 * :class:`SinrRadio` (``register_radio("sinr")``) keeps per-transmission
-  bookkeeping of concurrent senders in an :class:`InterferenceMap`
-  (backed by the same :class:`~repro.geo.grid.SpatialHash` the neighbour
-  table uses) and decodes a frame iff its RSSI clears the receiver
-  sensitivity *and* its SINR clears the capture threshold.
+  bookkeeping of concurrent senders in an :class:`InterferenceMap` (one
+  ledger of the frames on the air, kept in the order a
+  :class:`~repro.geo.grid.SpatialHash` probe yields them) and decodes a
+  frame iff its RSSI clears the receiver sensitivity *and* its SINR
+  clears the capture threshold.
 * :class:`CsmaCaMac` (``register_mac("csma_ca")``) models carrier-sense
   deferral (DIFS + uniformly drawn backoff slots from a binary
   exponential contention window), frame airtime
@@ -29,19 +30,22 @@ address them with dotted axes (``"sinr.capture_db"``,
 Model equations and a unit-disk-vs-SINR comparison recipe are documented
 in ``docs/physical-layer.md``; the timing semantics of the interference
 bookkeeping (who counts as concurrent) are described on
-:meth:`SinrRadio.reception_probability_during`.
+:meth:`SinrRadio.reception_probability_during`, and its pruning rule on
+:class:`InterferenceMap`.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from math import hypot, log10
+from operator import itemgetter
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.geo.geometry import Point, distance
-from repro.geo.grid import SpatialHash
 from repro.registry import register_mac, register_radio
 from repro.simulation.mac import MacModel, TxPlan
 from repro.simulation.radio import RadioModel
@@ -141,36 +145,71 @@ class TransmissionRecord:
         return self.start < end and self.end > start
 
 
+#: a ledger entry: (cell x, cell y, arrival, x, y, record); the first
+#: three fields order the ledger, x and y are the record's position
+_Entry = Tuple[int, int, int, float, float, TransmissionRecord]
+
+
 class InterferenceMap:
-    """Active-transmission ledger with spatial-hash interferer lookup.
+    """Active-transmission ledger, kept in the order lookups read it.
 
     :meth:`note` records a frame's on-air interval; :meth:`concurrent`
     answers "which frames overlap this interval within ``radius`` of
-    this receiver?".  Lookup reuses :class:`~repro.geo.grid.SpatialHash`
-    with the interference radius as the cell size, so the 3x3 cell probe
-    is guaranteed to cover every interferer in range; expired records
-    (ended before the current time) are pruned as new ones arrive, which
-    keeps the ledger at the handful of frames genuinely in flight.
+    this receiver?".  The live records sit in one list sorted by the
+    square cell (side ``cell_size``) holding their sender's position --
+    cell x, then cell y, each ``int(coordinate // cell_size)`` -- and
+    then by arrival: the order in which a
+    :class:`~repro.geo.grid.SpatialHash` of the same cell size yields
+    them from its 3x3 probe.  A note is inserted in place and no index
+    is built.  The interferer power sum runs in this order, and with
+    three or more terms its float result depends on the order.
+
+    A lookup keeps the probe's two tests, the cell test first: the
+    record's cell lies within one cell of the receiver's in x and in y,
+    and its sender within ``radius + 1e-9`` of the receiver.  (With the
+    radius as the cell size, a record past ``radius`` but within
+    ``radius + 1e-9`` can lie two cells away, and then does not count.)
+    Every receiver of one frame shares its interval and its sender, so
+    the records that overlap the interval and are not the sender's are
+    filtered once per frame and reused until the next note.
+
+    Pruning: a note whose ``now`` is later than the end of the oldest
+    record by arrival drops every record that ended before ``now``,
+    which keeps the ledger at the handful of frames in flight.
     """
 
     def __init__(self, cell_size: float) -> None:
         if cell_size <= 0:
             raise ValueError("interference cell size must be positive")
-        self._cell_size = cell_size
-        self._records: List[TransmissionRecord] = []
-        self._index: Optional[SpatialHash] = None
+        self._cell = max(cell_size, 1e-6)  # SpatialHash's floor
+        self._ledger: List[_Entry] = []
+        self._arrivals = 0
+        #: end of the oldest live record by arrival: the prune trigger
+        self._oldest_end = 0.0
+        #: (start, end, sender) of the frame last looked up, and the
+        #: ledger entries that overlap it and are not its sender's
+        self._frame: Optional[Tuple[float, float, Optional[int]]] = None
+        self._overlapping: List[_Entry] = []
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ledger)
 
     def note(self, record: TransmissionRecord, now: float) -> None:
         """Record a frame; drops every record already ended at ``now``."""
         if record.end <= record.start:
             raise ValueError("transmission interval must have positive length")
-        if self._records and self._records[0].end < now:
-            self._records = [r for r in self._records if r.end >= now]
-        self._records.append(record)
-        self._index = None
+        ledger = self._ledger
+        if ledger and self._oldest_end < now:
+            ledger = self._ledger = [entry for entry in ledger if entry[5].end >= now]
+            if ledger:
+                self._oldest_end = min(ledger, key=itemgetter(2))[5].end
+        if not ledger:
+            self._oldest_end = record.end
+        x, y = record.position.x, record.position.y
+        cell = self._cell
+        insort(ledger, (int(x // cell), int(y // cell), self._arrivals, x, y, record))
+        self._arrivals += 1
+        self._frame = None
 
     def concurrent(
         self,
@@ -179,22 +218,33 @@ class InterferenceMap:
         end: float,
         radius: float,
         exclude_sender: Optional[int] = None,
-    ) -> List[TransmissionRecord]:
-        """Frames overlapping ``[start, end]`` within ``radius`` of the receiver."""
-        if not self._records:
-            return []
-        if self._index is None:
-            index: SpatialHash = SpatialHash(self._cell_size)
-            for record in self._records:
-                index.insert(record, record.position)
-            self._index = index
-        return [
-            record
-            for record in self._index.candidates(receiver_pos)
-            if record.sender != exclude_sender
-            and record.overlaps(start, end)
-            and distance(record.position, receiver_pos) <= radius + 1e-9
-        ]
+    ) -> List[Tuple[TransmissionRecord, float]]:
+        """Frames overlapping ``[start, end]`` within ``radius`` of the receiver.
+
+        Each with its sender's distance from the receiver, in ledger
+        order.  The overlap filter is reused while ``start``, ``end``
+        and ``exclude_sender`` stay those of the previous call and
+        nothing was noted in between.
+        """
+        frame = (start, end, exclude_sender)
+        if frame != self._frame:
+            self._frame = frame
+            self._overlapping = [
+                entry
+                for entry in self._ledger
+                if entry[5].sender != exclude_sender and entry[5].overlaps(start, end)
+            ]
+        x, y = receiver_pos.x, receiver_pos.y
+        cell = self._cell
+        home_x, home_y = int(x // cell), int(y // cell)  # the receiver's cell
+        reach = radius + 1e-9
+        hits = []
+        for cell_x, cell_y, _arrival, sender_x, sender_y, record in self._overlapping:
+            if -1 <= cell_x - home_x <= 1 and -1 <= cell_y - home_y <= 1:
+                d = hypot(sender_x - x, sender_y - y)
+                if d <= reach:
+                    hits.append((record, d))
+        return hits
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +264,8 @@ class SinrRadio(RadioModel):
     clears ``capture_db`` (the capture effect: the strongest of several
     colliding frames can still be received).  A node that is itself
     transmitting during the frame's interval cannot receive it
-    (half-duplex).
+    (half-duplex).  The concurrent frames come from an
+    :class:`InterferenceMap`, in its ledger order.
     """
 
     def __init__(
@@ -255,6 +306,9 @@ class SinrRadio(RadioModel):
             self._range = d0 * 10.0 ** (margin / (10.0 * n))
         self._interference_radius = self._range * config.interference_range_factor
         self._active = InterferenceMap(self._interference_radius)
+        # the per-decision constants, each the float its expression gives
+        self._ten_n = 10.0 * n
+        self._noise_mw = dbm_to_mw(config.noise_floor_dbm)
 
     # -- link budget ---------------------------------------------------
     @property
@@ -268,11 +322,10 @@ class SinrRadio(RadioModel):
 
     def rssi_at(self, d: float) -> float:
         """Received signal strength (dBm) at distance ``d`` metres."""
-        d = max(d, self.config.reference_distance)
-        path_loss = self.reference_loss_db + 10.0 * self.config.path_loss_exponent * math.log10(
-            d / self.config.reference_distance
+        d0 = self.config.reference_distance
+        return self.config.tx_power_dbm - (
+            self.reference_loss_db + self._ten_n * log10(max(d, d0) / d0)
         )
-        return self.config.tx_power_dbm - path_loss
 
     def reception_probability(self, a: Point, b: Point) -> float:
         """Interference-free reception: the link budget against noise alone."""
@@ -306,21 +359,29 @@ class SinrRadio(RadioModel):
         (Capture is therefore resolved in decision order -- a
         deterministic one-sided approximation of symmetric collision
         resolution that keeps the classic radios' draw sequence intact.)
+        The interferer powers are summed left to right, in the
+        :class:`InterferenceMap`'s ledger order.
         """
         d = distance(sender_pos, receiver_pos)
         if d > self._range + 1e-9:
             return 0.0
         signal = self.rssi_at(d)
-        if signal < self.config.sensitivity_dbm - 1e-9:
+        config = self.config
+        if signal < config.sensitivity_dbm - 1e-9:
             return 0.0
-        interferers = self._active.concurrent(
-            receiver_pos, start, end, self._interference_radius, exclude_sender=sender
-        )
-        if any(record.sender == receiver for record in interferers):
-            return 0.0  # half-duplex: a transmitting node cannot receive
-        interference = [self.rssi_at(distance(r.position, receiver_pos)) for r in interferers]
-        ratio = sinr_db(signal, interference, self.config.noise_floor_dbm)
-        return 1.0 if ratio >= self.config.capture_db else 0.0
+        tx, d0 = config.tx_power_dbm, config.reference_distance
+        loss, ten_n = self.reference_loss_db, self._ten_n
+        total = 0.0
+        for record, record_d in self._active.concurrent(
+            receiver_pos, start, end, self._interference_radius, sender
+        ):
+            if record.sender == receiver:
+                return 0.0  # half-duplex: a transmitting node cannot receive
+            # dbm_to_mw(rssi_at(record_d)), inline
+            total += 10.0 ** ((tx - (loss + ten_n * log10(max(record_d, d0) / d0))) / 10.0)
+        # mw_to_dbm, inline: the noise floor keeps the sum positive
+        ratio = signal - 10.0 * log10(self._noise_mw + total)
+        return 1.0 if ratio >= config.capture_db else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ cluster-head failure.  The ``dsm``, ``spbm`` and ``sgm`` cases run the
 same scenario with only ``protocol`` switched: DSM's position floods
 and SPBM's membership floods are the broadcast-heavy traffic of E3, and
 SGM's overlay tree is E2's third protocol (the phy fingerprints pin
-flooding).  A change to route-table order, beacon contents, rng-draw
-order, a baseline's forwarding or the transmit path shows up here.
+flooding).  The ``sinr_csma`` and ``sinr_csma_ca`` cases run HVDB over
+the SINR radio: its tunnel unicasts retry, so the order and pruning of
+the radio's interferer ledger decide receptions there (the phy
+fingerprints pin the SINR radio under flooding only).  A change to
+route-table order, beacon contents, rng-draw order, a baseline's
+forwarding or the transmit path shows up here.
 
 Regenerate deliberately (after an intended protocol change) with::
 
@@ -112,6 +116,8 @@ CASES: Dict[str, Callable[[], Dict]] = {
     "dsm": _plain(replace(fingerprint_config(), protocol="dsm")),
     "spbm": _plain(replace(fingerprint_config(), protocol="spbm")),
     "sgm": _plain(replace(fingerprint_config(), protocol="sgm")),
+    "sinr_csma": _plain(replace(fingerprint_config(), radio="sinr", mac="csma")),
+    "sinr_csma_ca": _plain(replace(fingerprint_config(), radio="sinr", mac="csma_ca")),
 }
 
 

@@ -115,6 +115,15 @@ class TestExpansion:
         assert [r.config.seed for r in runs] == [3, 4]
         assert len({r.run_id for r in runs}) == 2
 
+    def test_run_count_counts_a_pinned_seed_once(self):
+        seed_axis = tiny_spec(grid={"seed": [5, 6]}, seeds=(1, 2, 3))
+        label_axis = tiny_spec(
+            grid={"variant": [{"variant": "a", "seed": 4}, {"variant": "b"}]},
+            seeds=(1, 2, 3),
+        )
+        for spec, runs in ((seed_axis, 2), (label_axis, 1 + 3)):
+            assert spec.run_count == len(expand_spec(spec)) == runs
+
     def test_seed_axis_runs_in_process(self):
         from repro.experiments.runner import run_scenario
 

@@ -482,7 +482,7 @@ class TestInterferenceMap:
         imap.note(self._record(2, 5000.0, 0.0, 1.0), now=0.0)  # far away
         imap.note(self._record(3, 100.0, 5.0, 6.0), now=0.0)  # later interval
         hits = imap.concurrent(Point(0, 0), 0.2, 0.8, radius=450.0)
-        assert [r.sender for r in hits] == [1]
+        assert [(r.sender, d) for r, d in hits] == [(1, 100.0)]
 
     def test_exclude_sender(self):
         imap = self._map()
