@@ -5,7 +5,7 @@ PYTHON ?= python
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test bench-smoke adaptive-smoke phy-smoke perf-check bench docs-check docs-links sweeps protocols protocol-coverage check ci
+.PHONY: test bench-smoke adaptive-smoke phy-smoke perf-check bench docs-check sweeps protocols protocol-coverage check ci
 
 ## tier-1 test suite (fast, deterministic) -- must stay green
 test:
@@ -80,13 +80,10 @@ bench:
 
 ## documentation consistency: the docs suite exists, intra-repo links
 ## resolve, README + docs/ match the shipped CLI, quoted sweep/make
-## commands reference real things, package docstrings match exports
+## commands reference real things, package docstrings match exports,
+## and every exported name has a consumer outside tests/
 docs-check:
 	$(PYTHON) scripts/check_docs.py
-
-## just the intra-repo link check (the dedicated CI step)
-docs-links:
-	$(PYTHON) scripts/check_docs.py --links
 
 ## list the registered experiment sweeps
 sweeps:

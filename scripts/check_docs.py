@@ -18,12 +18,11 @@ Fails (exit code 1) if documentation has drifted from the code:
    copy-pasteable;
 5. every module under ``src/repro`` has a module docstring;
 6. every package ``__init__`` resolves its declared ``__all__`` (imports
-   that silently rot are the most common docstring drift);
+   that silently rot are the most common docstring drift), and every name
+   it exports has a consumer outside ``tests/`` (:func:`unused_exports`);
 7. every submodule a package docstring mentions (``:mod:`repro...```)
    actually exists;
 8. docs mention no repo files that do not exist (DESIGN.md-style drift).
-
-``--links`` runs only the intra-repo link check (the dedicated CI step).
 """
 
 from __future__ import annotations
@@ -56,6 +55,9 @@ REQUIRED_DOCS = (
 
 #: subcommands that take a sweep name as their first positional argument
 SWEEP_TAKING = ("run", "resume", "export", "merge")
+
+#: where a use of an exported name counts; ``tests/`` is not a consumer
+CONSUMER_DIRS = ("src", "benchmarks", "examples", "perfbench", "scripts")
 
 
 def error(message: str) -> None:
@@ -248,7 +250,88 @@ def check_module_docstrings() -> None:
             error(f"module {name} has no docstring")
 
 
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+
+
+def _consumer_files(root: str) -> list:
+    files = []
+    for top in CONSUMER_DIRS:
+        for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+            files.extend(os.path.join(dirpath, f) for f in sorted(filenames) if f.endswith(".py"))
+    return files
+
+
+def _is_all(node: ast.AST) -> bool:
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+def _uses(tree: ast.Module) -> set:
+    """Identifiers ``tree`` refers to: names, attributes and the words of
+    string constants (``perfbench/`` wraps methods named in strings).
+
+    Imports, ``__all__`` lists and docstrings are not uses, and a
+    ``register_*``-decorated definition counts as used by its decorator.
+    """
+    skip, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+            isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and _is_all(node)
+        ):
+            skip.update(id(n) for n in ast.walk(node))
+        elif isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                skip.add(id(node.body[0].value))
+            if not isinstance(node, ast.Module) and any(
+                isinstance(d, ast.Call)
+                and getattr(d.func, "id", getattr(d.func, "attr", "")).startswith("register")
+                for d in node.decorator_list
+            ):
+                used.add(node.name)
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(_IDENTIFIER.findall(node.value))
+    return used
+
+
+def unused_exports(root: str) -> list:
+    """``(package, name)`` for every ``__all__`` entry of a package under
+    ``root/src`` that no consumer (:data:`CONSUMER_DIRS`) uses.
+
+    A new exported name needs a consumer that exists today; a name only
+    ``tests/`` call is library surface nobody runs.
+    """
+    used = set()
+    for path in _consumer_files(root):
+        with open(path, encoding="utf-8") as fh:
+            used |= _uses(ast.parse(fh.read(), filename=path))
+    unused = []
+    for dirpath, dirnames, filenames in os.walk(os.path.join(root, "src")):
+        dirnames.sort()
+        if "__init__.py" not in filenames:
+            continue
+        path = os.path.join(dirpath, "__init__.py")
+        package = os.path.relpath(dirpath, os.path.join(root, "src")).replace(os.sep, ".")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_all(node):
+                for name in ast.literal_eval(node.value):
+                    if name not in used:
+                        unused.append((package, name))
+    return unused
+
+
 def check_package_exports() -> None:
+    for package, symbol in unused_exports(ROOT):
+        error(f"{package}.__all__ exports {symbol!r} but nothing outside tests/ uses it")
     for name, path in iter_modules():
         if not path.endswith("__init__.py"):
             continue
@@ -272,14 +355,7 @@ def check_no_phantom_files() -> None:
                 error(f"{_rel(path)} mentions {mentioned} which does not exist in the repo")
 
 
-def main(argv: list) -> int:
-    if "--links" in argv:
-        check_intra_repo_links()
-        if ERRORS:
-            print(f"docs-check: {len(ERRORS)} broken link(s)")
-            return 1
-        print(f"docs-check: OK ({len(doc_pages())} pages, intra-repo links resolve)")
-        return 0
+def main() -> int:
     check_required_docs()
     check_intra_repo_links()
     check_readme_matches_cli()
@@ -301,4 +377,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

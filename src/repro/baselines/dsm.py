@@ -13,7 +13,7 @@ be periodically broadcast from each node to all the other nodes").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.geo.geometry import Point, distance
 from repro.registry import register_protocol
@@ -46,14 +46,13 @@ class DsmAgent(ProtocolAgent):
         self.known_positions: Dict[int, Tuple[Point, float]] = {}
         self._seen_control: Set[Tuple[int, int]] = set()
         self._seen_data: Set[int] = set()
-        self._timer: Optional[PeriodicTimer] = None
         self._update_seq = 0
         self.data_originated = 0
         self.position_floods = 0
 
     # ------------------------------------------------------------------
     def on_start(self) -> None:
-        self._timer = PeriodicTimer(
+        PeriodicTimer(
             self.simulator,
             self.position_update_period,
             self._flood_position,
@@ -64,10 +63,6 @@ class DsmAgent(ProtocolAgent):
             self.network.position_of(self.node_id),
             self.now,
         )
-
-    def on_stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
 
     def _flood_position(self) -> None:
         self._update_seq += 1

@@ -61,7 +61,6 @@ class SpbmAgent(ProtocolAgent):
         self.announce_period = announce_period
         #: membership table: square -> set of groups known to have members there
         self.square_members: Dict[Square, Set[int]] = {}
-        self._timer: Optional[PeriodicTimer] = None
         self._seen: Set[Tuple[int, str]] = set()
         self.data_originated = 0
         self.announcements_sent = 0
@@ -89,27 +88,13 @@ class SpbmAgent(ProtocolAgent):
     def _contains(self, square: Square, position: Point) -> bool:
         return self._square_of(position, square[0]) == square
 
-    def _child_squares(self, square: Square) -> List[Square]:
-        level, ix, iy = square
-        if level == 0:
-            return []
-        return [
-            (level - 1, 2 * ix + dx, 2 * iy + dy)
-            for dx in (0, 1)
-            for dy in (0, 1)
-        ]
-
     # ------------------------------------------------------------------
     # membership announcements
     # ------------------------------------------------------------------
     def on_start(self) -> None:
-        self._timer = PeriodicTimer(
+        PeriodicTimer(
             self.simulator, self.announce_period, self._announce_membership
         )
-
-    def on_stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
 
     def _announce_membership(self) -> None:
         groups = sorted(self.node.groups)

@@ -14,10 +14,10 @@ terminology.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.geo.geometry import Point, distance
-from repro.geo.grid import GridCoord, VirtualCircle
+from repro.geo.grid import VirtualCircle
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,21 +74,3 @@ class Cluster:
     circle: VirtualCircle
     head: Optional[int] = None
     members: Set[int] = field(default_factory=set)
-
-    @property
-    def coord(self) -> GridCoord:
-        return self.circle.coord
-
-    @property
-    def has_head(self) -> bool:
-        return self.head is not None
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def is_member(self, node_id: int) -> bool:
-        return node_id in self.members
-
-    def member_list(self) -> List[int]:
-        return sorted(self.members)

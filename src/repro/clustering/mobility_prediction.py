@@ -60,23 +60,3 @@ def predicted_residence_time(
         return 0.0
     entry = max(t1, 0.0)
     return max(0.0, t2 - entry)
-
-
-def residence_probability(
-    position: Point,
-    velocity: Vector,
-    center: Point,
-    radius: float,
-    horizon: float,
-) -> float:
-    """Probability-like score that the node stays in the circle for ``horizon``.
-
-    Deterministic surrogate used for ranking: 1.0 when the predicted
-    residence time exceeds the horizon, linear below it.  The paper's
-    criterion only needs an ordering ("highest probability ... to stay for
-    longer time"), which this preserves.
-    """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
-    t = predicted_residence_time(position, velocity, center, radius)
-    return min(1.0, t / horizon)

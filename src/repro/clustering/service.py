@@ -33,18 +33,6 @@ class ClusterSnapshot:
     members: Dict[GridCoord, Set[int]]
     node_home: Dict[int, GridCoord]
 
-    def head_of(self, coord: GridCoord) -> Optional[int]:
-        return self.heads.get(coord)
-
-    def cluster_of(self, node_id: int) -> Optional[GridCoord]:
-        return self.node_home.get(node_id)
-
-    def cluster_head_ids(self) -> List[int]:
-        return sorted(set(self.heads.values()))
-
-    def occupied_coords(self) -> List[GridCoord]:
-        return sorted(self.heads.keys())
-
 
 class ClusteringService:
     """Keeps per-virtual-circle clusters up to date as the network evolves."""
@@ -85,11 +73,6 @@ class ClusteringService:
             initial_delay=self.update_interval,
             priority=-5,
         )
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
 
     def add_listener(self, callback: Callable[[ClusterSnapshot], None]) -> None:
         """Register a callback invoked with a snapshot after every update."""
@@ -167,12 +150,6 @@ class ClusteringService:
             node_home=dict(self._node_home),
         )
 
-    def cluster_head(self, coord: GridCoord) -> Optional[int]:
-        return self.clusters[coord].head
-
-    def cluster_of(self, node_id: int) -> Optional[GridCoord]:
-        return self._node_home.get(node_id)
-
     def head_of_node(self, node_id: int) -> Optional[int]:
         """The CH of the cluster the node currently belongs to."""
         coord = self._node_home.get(node_id)
@@ -204,19 +181,3 @@ class ClusteringService:
                 best_distance = d
                 best = candidate
         return best
-
-    def is_cluster_head(self, node_id: int) -> bool:
-        coord = self._node_home.get(node_id)
-        if coord is None:
-            return False
-        return self.clusters[coord].head == node_id
-
-    def cluster_heads(self) -> Dict[GridCoord, int]:
-        return {
-            coord: cluster.head
-            for coord, cluster in self.clusters.items()
-            if cluster.head is not None
-        }
-
-    def members_of(self, coord: GridCoord) -> Set[int]:
-        return set(self.clusters[coord].members)

@@ -43,7 +43,7 @@ from repro.core.multicast_routing import (
     compute_hypercube_tree,
     MulticastForwardingState,
 )
-from repro.core.qos import QoSRequirement, RouteQoS, select_qos_route, QoSViolation
+from repro.core.qos import QoSRequirement, select_qos_route
 from repro.core.protocol import (
     HVDBConfig,
     HVDBParameters,
@@ -70,9 +70,7 @@ __all__ = [
     "compute_hypercube_tree",
     "MulticastForwardingState",
     "QoSRequirement",
-    "RouteQoS",
     "select_qos_route",
-    "QoSViolation",
     "HVDBConfig",
     "HVDBParameters",
     "HVDBProtocolAgent",

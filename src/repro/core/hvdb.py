@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.clustering.service import ClusterSnapshot
-from repro.core.identifiers import LogicalAddress, LogicalAddressSpace, MeshCoord
+from repro.core.identifiers import LogicalAddress, LogicalAddressSpace
 from repro.geo.geometry import Point, distance
 from repro.geo.grid import GridCoord
 from repro.hypercube.mesh import MeshGrid
@@ -119,12 +119,6 @@ class HVDBModel:
         vc = self.space.vc_of(hid, hnid)
         return self._ch_by_vc.get(vc)
 
-    def ch_of_vc(self, vc: GridCoord) -> Optional[int]:
-        return self._ch_by_vc.get(vc)
-
-    def vc_of_ch(self, node_id: int) -> GridCoord:
-        return self._vc_by_ch[node_id]
-
     def border_cluster_heads(self, hid: Optional[int] = None) -> List[int]:
         """All BCHs, optionally restricted to one hypercube."""
         out = []
@@ -152,12 +146,6 @@ class HVDBModel:
     def hypercube(self, hid: int) -> IncompleteHypercube:
         """The (incomplete) logical hypercube of block ``hid``."""
         return self._hypercubes[hid]
-
-    def hypercube_of_ch(self, node_id: int) -> IncompleteHypercube:
-        return self._hypercubes[self.address_of_ch(node_id).hid]
-
-    def hypercube_ids(self) -> List[int]:
-        return sorted(self._hypercubes.keys())
 
     def actual_hypercube_ids(self) -> List[int]:
         """HIDs of hypercubes that currently contain at least one CH."""
@@ -196,9 +184,6 @@ class HVDBModel:
         """The mesh tier over currently-actual hypercubes."""
         assert self._mesh is not None
         return self._mesh
-
-    def mesh_coord_of_ch(self, node_id: int) -> MeshCoord:
-        return self.address_of_ch(node_id).mnid
 
     def entry_ch(self, hid: int, towards: Optional[Point] = None) -> Optional[int]:
         """Pick the CH a packet entering hypercube ``hid`` should be sent to.

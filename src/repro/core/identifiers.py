@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.geo.geometry import Point
 from repro.geo.grid import GridCoord, VirtualCircleGrid
@@ -46,10 +46,6 @@ class LogicalAddress:
     hid: int                #: hypercube id (index of the block)
     mnid: MeshCoord         #: mesh node id (block column, block row)
     vc_coord: GridCoord     #: virtual circle grid coordinate
-
-    def bits(self, dimension: int) -> str:
-        """The HNID as a bit string, paper-style (MSB first)."""
-        return format(self.hnid, f"0{dimension}b")
 
 
 class LogicalAddressSpace:
@@ -152,23 +148,9 @@ class LogicalAddressSpace:
             vc_coord=vc,
         )
 
-    def address_of_position(self, position: Point, chid: Optional[int] = None) -> LogicalAddress:
-        """Logical address of the virtual circle containing a geographic position."""
-        return self.address_of_vc(self.grid.coord_of(position), chid)
-
     # ------------------------------------------------------------------
     # region helpers
     # ------------------------------------------------------------------
-    def vcs_of_hid(self, hid: int) -> List[GridCoord]:
-        """All virtual circle coordinates belonging to a hypercube block."""
-        mesh = self.mesh_of_hid(hid)
-        base_col = mesh[0] * self.block_cols
-        base_row = mesh[1] * self.block_rows
-        return [
-            (base_col + c, base_row + r)
-            for r in range(self.block_rows)
-            for c in range(self.block_cols)
-        ]
 
     def hypercube_count(self) -> int:
         return self.mesh_cols * self.mesh_rows

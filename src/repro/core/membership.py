@@ -44,9 +44,6 @@ class LocalMembership:
     def leave(self, group: int) -> None:
         self.groups.discard(group)
 
-    def is_member(self, group: int) -> bool:
-        return group in self.groups
-
     def serialized_size(self) -> int:
         """Bytes needed to report this membership (4 bytes per group id + node id)."""
         return 8 + 4 * len(self.groups)
@@ -87,9 +84,6 @@ class MNTSummary:
 
     def member_total(self) -> int:
         return sum(self.counts.values())
-
-    def has_members(self, group: int) -> bool:
-        return self.counts.get(group, 0) > 0
 
     def serialized_size(self) -> int:
         """Bytes for (group id, count) pairs plus the sender's logical ids."""
@@ -133,23 +127,11 @@ class HTSummary:
                 members.setdefault(group, set()).add(summary.hnid)
         return cls(hid=hid, members_by_group=members)
 
-    def merge(self, other: "HTSummary") -> "HTSummary":
-        """Pointwise union with another HT-Summary of the same hypercube."""
-        if other.hid != self.hid:
-            raise ValueError("cannot merge HT summaries of different hypercubes")
-        merged = {g: set(h) for g, h in self.members_by_group.items()}
-        for group, hnids in other.members_by_group.items():
-            merged.setdefault(group, set()).update(hnids)
-        return HTSummary(hid=self.hid, members_by_group=merged)
-
     def groups(self) -> Set[int]:
         return {g for g, hnids in self.members_by_group.items() if hnids}
 
     def hnids_for(self, group: int) -> Set[int]:
         return set(self.members_by_group.get(group, set()))
-
-    def has_group(self, group: int) -> bool:
-        return bool(self.members_by_group.get(group))
 
     def serialized_size(self) -> int:
         """Bytes: hid + per group (group id + bitmap of HNIDs)."""
@@ -199,15 +181,6 @@ class MTSummary:
 
     def mesh_nodes_for(self, group: int) -> Set[MeshCoord]:
         return set(self.members_by_group.get(group, set()))
-
-    def groups(self) -> Set[int]:
-        return {g for g, coords in self.members_by_group.items() if coords}
-
-    def serialized_size(self) -> int:
-        total = 4
-        for coords in self.members_by_group.values():
-            total += 4 + 4 * len(coords)
-        return total
 
 
 # ----------------------------------------------------------------------

@@ -158,11 +158,6 @@ class HVDBProtocolAgent(ProtocolAgent):
             ),
         ]
 
-    def on_stop(self) -> None:
-        for timer in self._timers:
-            timer.stop()
-        self._timers = []
-
     def on_group_join(self, group: int) -> None:
         if self.local_membership is None:
             self.local_membership = LocalMembership(self.node_id, set())
@@ -773,9 +768,6 @@ class HVDBStack(ProtocolStack):
     def backbone_nodes(self) -> List[int]:
         """The cluster heads: the virtual dynamic backbone."""
         return self.model.cluster_heads()
-
-    def set_qos_requirement(self, group: int, requirement: QoSRequirement) -> None:
-        self.qos_requirements[group] = requirement
 
     # ------------------------------------------------------------------
     def _on_cluster_update(self, snapshot: ClusterSnapshot) -> None:

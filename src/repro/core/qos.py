@@ -17,10 +17,6 @@ from typing import Iterable, List, Optional, Sequence
 from repro.core.route_maintenance import LogicalRoute
 
 
-class QoSViolation(RuntimeError):
-    """Raised when a session's QoS requirement cannot be satisfied."""
-
-
 @dataclass(frozen=True, slots=True)
 class QoSRequirement:
     """Per-session QoS constraints."""
@@ -38,17 +34,6 @@ class QoSRequirement:
         return delay <= self.max_delay and bandwidth >= self.min_bandwidth
 
 
-@dataclass(frozen=True, slots=True)
-class RouteQoS:
-    """Measured QoS of a candidate route."""
-
-    delay: float
-    bandwidth: float
-
-    def satisfies(self, requirement: QoSRequirement) -> bool:
-        return requirement.is_met_by(self.delay, self.bandwidth)
-
-
 def route_satisfies(route: LogicalRoute, requirement: QoSRequirement) -> bool:
     """True if a local logical route meets the requirement."""
     return requirement.is_met_by(route.qos.delay, route.qos.bandwidth)
@@ -64,8 +49,7 @@ def select_qos_route(
     Candidates passing the QoS check are ranked by logical hop count, then
     delay; routes through any HNID in ``exclude_hnids`` (e.g. CHs known to
     have failed) are skipped.  Returns ``None`` when no candidate
-    qualifies -- the caller may then fall back to the best-effort route or
-    reject the session.
+    qualifies -- the caller may then fall back to the best-effort route.
     """
     excluded = set(exclude_hnids) if exclude_hnids else set()
     qualified: List[LogicalRoute] = []
@@ -78,25 +62,6 @@ def select_qos_route(
         return None
     qualified.sort(key=lambda r: (r.logical_hops, r.qos.delay))
     return qualified[0]
-
-
-def admission_control(
-    routes: Sequence[LogicalRoute],
-    requirement: QoSRequirement,
-) -> LogicalRoute:
-    """Admit a session only if some route satisfies its requirement.
-
-    Raises :class:`QoSViolation` when no qualified route exists, mirroring
-    hard-QoS (IntServ-style) admission; soft-QoS callers catch the
-    exception and degrade gracefully.
-    """
-    route = select_qos_route(routes, requirement)
-    if route is None:
-        raise QoSViolation(
-            f"no route satisfies delay <= {requirement.max_delay}s and "
-            f"bandwidth >= {requirement.min_bandwidth} bps"
-        )
-    return route
 
 
 def qos_satisfaction_ratio(

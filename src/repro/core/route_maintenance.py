@@ -15,7 +15,7 @@ they can be tested in isolation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 
 class LinkQoS(NamedTuple):
@@ -41,17 +41,9 @@ class LogicalRoute(NamedTuple):
     qos: LinkQoS
 
     @property
-    def destination(self) -> int:
-        return self.path[-1]
-
-    @property
     def logical_hops(self) -> int:
         """Number of logical hops (paper Section 4.1): path length minus one."""
         return len(self.path) - 1
-
-    def extended(self, next_hnid: int, link_qos: LinkQoS) -> "LogicalRoute":
-        """Prepend-free extension: append one more logical hop at the far end."""
-        return LogicalRoute(self.path + (next_hnid,), self.qos.combined_with(link_qos))
 
 
 class LogicalRouteTable:
@@ -93,18 +85,6 @@ class LogicalRouteTable:
             raise ValueError("a CH has no logical link to itself")
         self._neighbor_qos[neighbor_hnid] = qos
         self._insert(LogicalRoute((self.own_hnid, neighbor_hnid), qos))
-
-    def remove_neighbor(self, neighbor_hnid: int) -> None:
-        """Drop the direct link and every route through that neighbour."""
-        self._neighbor_qos.pop(neighbor_hnid, None)
-        for dest in list(self._routes.keys()):
-            kept = [
-                r for r in self._routes[dest] if len(r.path) < 2 or r.path[1] != neighbor_hnid
-            ]
-            if kept:
-                self._routes[dest] = kept
-            else:
-                del self._routes[dest]
 
     def integrate_advertisement(
         self, neighbor_hnid: int, advertised: Iterable[LogicalRoute], now: float
@@ -187,27 +167,9 @@ class LogicalRouteTable:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def destinations(self) -> List[int]:
-        return sorted(self._routes.keys())
 
     def routes_to(self, destination: int) -> List[LogicalRoute]:
         return list(self._routes.get(destination, []))
-
-    def best_route(self, destination: int) -> Optional[LogicalRoute]:
-        routes = self._routes.get(destination)
-        return routes[0] if routes else None
-
-    def neighbor_hnids(self) -> List[int]:
-        return sorted(self._neighbor_qos.keys())
-
-    def neighbor_qos(self, neighbor_hnid: int) -> Optional[LinkQoS]:
-        return self._neighbor_qos.get(neighbor_hnid)
-
-    def all_routes(self) -> List[LogicalRoute]:
-        out: List[LogicalRoute] = []
-        for routes in self._routes.values():
-            out.extend(routes)
-        return out
 
     def advertisement(self) -> List[LogicalRoute]:
         """Routes advertised in this CH's beacon (best route per destination).
@@ -217,18 +179,3 @@ class LogicalRouteTable:
         maintenance "local" in the paper's sense.
         """
         return [routes[0] for routes in self._routes.values() if routes]
-
-    def route_count(self) -> int:
-        return sum(len(routes) for routes in self._routes.values())
-
-    def next_hop_chid(
-        self, destination: int, chid_lookup: Mapping[int, int]
-    ) -> Optional[int]:
-        """CH node id of the first hop of the best route to ``destination``.
-
-        ``chid_lookup`` maps HNID -> CH node id for the local hypercube.
-        """
-        route = self.best_route(destination)
-        if route is None or route.logical_hops == 0:
-            return None
-        return chid_lookup.get(route.path[1])

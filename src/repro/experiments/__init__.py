@@ -65,7 +65,7 @@ from repro.experiments.scenarios import (
     config_axis_names,
     PROTOCOLS,
 )
-from repro.experiments.runner import run_scenario, ExperimentResult, results_table
+from repro.experiments.runner import run_scenario, ExperimentResult
 from repro.experiments.executors import (
     DEFAULT_EXECUTOR,
     EXECUTORS,
@@ -88,14 +88,12 @@ from repro.experiments.orchestrator import (
     adaptive_seed_sequence,
     run_sweep,
     run_sweep_adaptive,
-    load_adaptive_results,
     execute_run,
     parse_shard,
     shard_runs,
     shard_points,
     merge_caches,
     validate_runs,
-    load_cached_results,
     summarize,
     mean_ci95,
     export_csv,
@@ -130,7 +128,6 @@ __all__ = [
     "AgentStack",
     "run_scenario",
     "ExperimentResult",
-    "results_table",
     "SweepSpec",
     "SweepError",
     "SpecError",
@@ -146,7 +143,6 @@ __all__ = [
     "adaptive_seed_sequence",
     "run_sweep",
     "run_sweep_adaptive",
-    "load_adaptive_results",
     "execute_run",
     "DEFAULT_EXECUTOR",
     "EXECUTORS",
@@ -157,7 +153,6 @@ __all__ = [
     "shard_points",
     "merge_caches",
     "validate_runs",
-    "load_cached_results",
     "ResultStore",
     "JsonStore",
     "summarize",

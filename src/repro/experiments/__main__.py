@@ -349,11 +349,6 @@ def _component_coverage() -> dict:
     return coverage
 
 
-def _protocol_coverage() -> dict:
-    """Map each registered protocol to the sweeps whose grids exercise it."""
-    return _component_coverage()["protocol"]
-
-
 def _cmd_protocols(args: argparse.Namespace) -> int:
     from repro.registry import MOBILITY_MODELS
 

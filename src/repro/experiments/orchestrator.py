@@ -21,19 +21,18 @@ is the engine that executes such grids:
   ``<cache-key>.json`` files (:mod:`repro.experiments.stores`).  The
   executor never enters the cache key, so either one produces the same
   cache entries and byte-identical artifacts.
-* :func:`run_sweep` / :func:`load_cached_results` -- a fixed seed list
-  is a one-round schedule of that loop: exactly :func:`expand_spec`'s
-  runs, executed, or replayed from the cache alone.
+* :func:`run_sweep` -- a fixed seed list is a one-round schedule of that
+  loop: exactly :func:`expand_spec`'s runs, executed
+  (``sweep(..., cache_only=True)`` replays them from the cache alone).
 * :class:`RunResult` -- the typed record one run produces: the swept
   parameters, the seed, and a flat metrics dictionary.  JSON/CSV export
   via :func:`export_json` / :func:`export_csv`, mean +/- 95% CI
   aggregation via :func:`summarize`.
-* :class:`AdaptiveCI` / :func:`run_sweep_adaptive` /
-  :func:`load_adaptive_results` -- *adaptive seed replication*: the
-  same loop under a policy.  Instead of a fixed seed list, each grid
-  point keeps adding replication seeds in deterministic batches, one
-  round at a time, until the 95% CI half-width of a chosen metric falls
-  below a target (or ``max_seeds`` is reached, recorded as
+* :class:`AdaptiveCI` / :func:`run_sweep_adaptive` -- *adaptive seed
+  replication*: the same loop under a policy.  Instead of a fixed seed
+  list, each grid point keeps adding replication seeds in deterministic
+  batches, one round at a time, until the 95% CI half-width of a chosen
+  metric falls below a target (or ``max_seeds`` is reached, recorded as
   ``unconverged``).  Low-variance points stop early, noisy ones get
   more seeds, and a re-run against a warm cache executes nothing.
 
@@ -423,9 +422,6 @@ class SweepSpec:
         """
         return sum(len(_point_seeds(self, point)) for point in expand_points(self))
 
-    def expand(self) -> List[RunSpec]:
-        return expand_spec(self)
-
 
 def _axis_overrides(axis: str, value: Any) -> Dict[str, Any]:
     if isinstance(value, dict):
@@ -714,7 +710,7 @@ def shard_points(points: Sequence[GridPoint], index: int, count: int) -> List[Gr
     jobs and every job would need the others' results to stop correctly.
     Sharding whole points keeps each job's stopping decisions local and
     deterministic; the merged caches then replay to the exact unsharded
-    result set (:func:`load_adaptive_results`).  Same 1-based round-robin
+    result set (``sweep(..., cache_only=True)``).  Same 1-based round-robin
     semantics as :func:`shard_runs`.
     """
     _check_shard(index, count)
@@ -1023,10 +1019,6 @@ class AdaptiveResult:
         return [p for p in self.points if p.status == "converged"]
 
     @property
-    def unconverged(self) -> List[PointConvergence]:
-        return [p for p in self.points if p.status != "converged"]
-
-    @property
     def fixed_equivalent_runs(self) -> int:
         return len(self.points) * self.policy.max_seeds
 
@@ -1085,9 +1077,8 @@ def sweep(
 ) -> Tuple[List[RunResult], Optional[AdaptiveResult], List[str]]:
     """Run ``spec`` round by round; the one loop behind every sweep.
 
-    :func:`run_sweep`, :func:`run_sweep_adaptive`,
-    :func:`load_cached_results`, :func:`load_adaptive_results` and the
-    CLI all call this.  A sweep is a list of ``(grid point, seed index)``
+    :func:`run_sweep`, :func:`run_sweep_adaptive` and the CLI all call
+    this.  A sweep is a list of ``(grid point, seed index)``
     runs, scheduled in rounds:
 
     * without a ``policy`` the seed list is a one-round schedule: exactly
@@ -1364,27 +1355,6 @@ def run_sweep(
     return results
 
 
-def load_cached_results(
-    spec: SweepSpec,
-    cache_dir: str,
-    shard: Optional[Tuple[int, int]] = None,
-) -> Tuple[List[RunResult], List[str]]:
-    """Rehydrate ``spec``'s runs from a cache directory, running nothing.
-
-    Returns the cached results in expansion order -- re-labelled with this
-    spec's run ids and params, since the cache is keyed by content only --
-    plus the run ids of every cache miss.  ``cache_dir`` is the cache
-    directory's path or an open :class:`~repro.experiments.stores.JsonStore`;
-    the runs are validated like :func:`run_sweep`'s and resolve through
-    one batch :meth:`~repro.experiments.stores.ResultStore.scan`.
-    ``shard`` restricts the expansion to one shard.
-    """
-    results, _report, missing = sweep(
-        spec, cache_dir=cache_dir, shard=shard, cache_only=True
-    )
-    return results, missing
-
-
 def run_sweep_adaptive(
     spec: SweepSpec,
     workers: int = 1,
@@ -1426,29 +1396,6 @@ def run_sweep_adaptive(
         executor=executor,
     )
     return report
-
-
-def load_adaptive_results(
-    spec: SweepSpec,
-    cache_dir: str,
-    shard: Optional[Tuple[int, int]] = None,
-    policy: Optional[AdaptiveCI] = None,
-) -> Tuple[AdaptiveResult, List[str]]:
-    """Replay an adaptive sweep from a cache directory, running nothing.
-
-    The adaptive analogue of :func:`load_cached_results`: the stopping
-    rule is re-evaluated against the cached results round by round, so
-    the replay reconstructs exactly the run set a live adaptive sweep
-    produced (this is what ``merge`` and ``export`` use after sharded
-    adaptive jobs).  Returns the report plus the run ids of cache misses;
-    a point whose next scheduled seed block is missing is reported with
-    status ``incomplete``, since its stopping decision cannot be replayed
-    past the gap.
-    """
-    _results, report, missing = sweep(
-        spec, _policy_of(spec, policy), cache_dir=cache_dir, shard=shard, cache_only=True
-    )
-    return report, missing
 
 
 # ---------------------------------------------------------------------------

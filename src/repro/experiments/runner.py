@@ -13,10 +13,10 @@ for grids of runs, declare a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from repro.experiments.scenarios import BuiltScenario, ScenarioConfig, build_scenario
-from repro.metrics.collectors import MetricsReport, collect_metrics, format_table
+from repro.metrics.collectors import MetricsReport, collect_metrics
 
 
 @dataclass
@@ -26,11 +26,6 @@ class ExperimentResult:
     config: ScenarioConfig
     report: MetricsReport
     scenario: BuiltScenario
-
-    def row(self, **extra: Any) -> dict:
-        row = self.report.as_row()
-        row.update(extra)
-        return row
 
 
 def run_scenario(
@@ -66,30 +61,3 @@ def run_scenario(
         protocol_stats=scenario.protocol_stats(),
     )
     return ExperimentResult(config=config, report=report, scenario=scenario)
-
-
-def _config_value(config: ScenarioConfig, name: str) -> Any:
-    """Read a plain or dotted (``section.field``) config attribute."""
-    value: Any = config
-    for part in name.split("."):
-        value = getattr(value, part)
-    return value
-
-
-def results_table(
-    results: Iterable[ExperimentResult],
-    swept: Optional[str] = None,
-    title: Optional[str] = None,
-) -> str:
-    """Format a list of results as an aligned table (one row per run).
-
-    ``swept`` may be a dotted section axis (``"hvdb.dimension"``), same
-    as a :class:`~repro.experiments.orchestrator.SweepSpec` grid axis.
-    """
-    rows = []
-    for result in results:
-        extra = {}
-        if swept is not None:
-            extra[swept] = _config_value(result.config, swept)
-        rows.append(result.row(**extra))
-    return format_table(rows, title)

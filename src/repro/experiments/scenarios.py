@@ -142,12 +142,6 @@ class BuiltScenario:
         """Start the protocol stack (which starts the network)."""
         self.stack.start()
 
-    def run(self, duration: float) -> None:
-        """Start (if needed) and run for ``duration`` simulated seconds."""
-        if not self.network.started:
-            self.start()
-        self.network.simulator.run(duration)
-
     def backbone_nodes(self) -> "List[int] | None":
         """Backbone node ids, or ``None`` for backbone-less protocols."""
         return self.stack.backbone_nodes()

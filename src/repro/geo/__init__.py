@@ -2,8 +2,8 @@
 
 This package provides the geographic substrate the HVDB model is built on:
 
-* :mod:`repro.geo.geometry` -- 2-D points, vectors, distances and motion
-  helpers used by every mobility model and by the radio layer.
+* :mod:`repro.geo.geometry` -- 2-D points, vectors and distances used by
+  every mobility model and by the radio layer.
 * :mod:`repro.geo.area` -- the rectangular deployment area with wrap /
   clamp / reflect boundary policies.
 * :mod:`repro.geo.grid` -- the Virtual Circle (VC) grid of the paper's
@@ -15,12 +15,7 @@ no module of its own: protocols read true positions and velocities from
 :meth:`repro.simulation.network.Network.position_of` / ``velocity_of``.
 """
 
-from repro.geo.geometry import (
-    Point,
-    Vector,
-    distance,
-    heading_to_vector,
-)
+from repro.geo.geometry import Point, Vector, distance
 from repro.geo.area import Area, BoundaryPolicy
 from repro.geo.grid import VirtualCircleGrid, VirtualCircle, GridCoord
 
@@ -28,7 +23,6 @@ __all__ = [
     "Point",
     "Vector",
     "distance",
-    "heading_to_vector",
     "Area",
     "BoundaryPolicy",
     "VirtualCircleGrid",

@@ -9,7 +9,6 @@ boundaries.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -34,14 +33,6 @@ class Area:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("area dimensions must be positive")
-
-    @property
-    def center(self) -> Point:
-        return Point(self.width / 2.0, self.height / 2.0)
-
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.width, self.height)
 
     def contains(self, point: Point) -> bool:
         return 0.0 <= point.x <= self.width and 0.0 <= point.y <= self.height

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,9 +25,6 @@ class Point:
     def __iter__(self) -> Iterator[float]:
         yield self.x
         yield self.y
-
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.x, self.y)
 
     def translate(self, vector: "Vector") -> "Point":
         """Return the point displaced by ``vector``."""
@@ -59,11 +56,6 @@ class Vector:
     def magnitude(self) -> float:
         return math.hypot(self.dx, self.dy)
 
-    @property
-    def heading(self) -> float:
-        """Heading angle in radians in ``[-pi, pi]`` (0 = +x axis)."""
-        return math.atan2(self.dy, self.dx)
-
     def scaled(self, factor: float) -> "Vector":
         return Vector(self.dx * factor, self.dy * factor)
 
@@ -87,9 +79,6 @@ class Vector:
     def __neg__(self) -> "Vector":
         return Vector(-self.dx, -self.dy)
 
-    def dot(self, other: "Vector") -> float:
-        return self.dx * other.dx + self.dy * other.dy
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Vector({self.dx:.2f}, {self.dy:.2f})"
 
@@ -97,8 +86,3 @@ class Vector:
 def distance(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""
     return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def heading_to_vector(heading: float, speed: float) -> Vector:
-    """Build a velocity vector from a heading (radians) and a speed."""
-    return Vector(math.cos(heading) * speed, math.sin(heading) * speed)

@@ -87,9 +87,6 @@ class VirtualCircle:
         """True if ``point`` lies within the circle (boundary inclusive)."""
         return distance(self.center, point) <= self.radius + 1e-9
 
-    def distance_to_center(self, point: Point) -> float:
-        return distance(self.center, point)
-
 
 class VirtualCircleGrid:
     """A ``cols x rows`` lattice of virtual circles covering an :class:`Area`.
@@ -144,13 +141,6 @@ class VirtualCircleGrid:
     def __iter__(self) -> Iterator[VirtualCircle]:
         return iter(self._circles.values())
 
-    def circle(self, coord: GridCoord) -> VirtualCircle:
-        """Return the circle at the given grid coordinate."""
-        return self._circles[coord]
-
-    def circles(self) -> List[VirtualCircle]:
-        return list(self._circles.values())
-
     def coord_of(self, point: Point) -> GridCoord:
         """Return the *home* grid coordinate of ``point``.
 
@@ -165,10 +155,6 @@ class VirtualCircleGrid:
         col = min(max(col, 0), self.cols - 1)
         row = min(max(row, 0), self.rows - 1)
         return (col, row)
-
-    def home_circle(self, point: Point) -> VirtualCircle:
-        """The virtual circle whose lattice cell contains ``point``."""
-        return self._circles[self.coord_of(point)]
 
     def covering_coords(self, point: Point) -> List[GridCoord]:
         """All grid coordinates whose circle covers ``point``.
@@ -192,26 +178,3 @@ class VirtualCircleGrid:
     def vcc(self, coord: GridCoord) -> Point:
         """The Virtual Circle Center of the circle at ``coord``."""
         return self._circles[coord].center
-
-    def neighbors(self, coord: GridCoord, diagonal: bool = False) -> List[GridCoord]:
-        """Grid coordinates adjacent to ``coord``.
-
-        By default only the 4-neighbourhood (N/S/E/W) is returned; with
-        ``diagonal=True`` the 8-neighbourhood is returned.
-        """
-        col, row = coord
-        if not (0 <= col < self.cols and 0 <= row < self.rows):
-            raise KeyError(f"coordinate {coord} outside grid")
-        offsets = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-        if diagonal:
-            offsets += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-        out: List[GridCoord] = []
-        for dc, dr in offsets:
-            nc, nr = col + dc, row + dr
-            if 0 <= nc < self.cols and 0 <= nr < self.rows:
-                out.append((nc, nr))
-        return out
-
-    def manhattan(self, a: GridCoord, b: GridCoord) -> int:
-        """Manhattan distance between two grid coordinates."""
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])

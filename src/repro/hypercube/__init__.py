@@ -5,17 +5,17 @@ desirable properties, such as high fault tolerance, small diameter,
 regularity, and symmetry" (paper Section 1).  This package implements the
 hypercube machinery the model relies on:
 
-* :mod:`repro.hypercube.labels` -- bit-string node labels, Hamming distance,
-  neighbourhoods, subcube membership (paper Section 2.1).
+* :mod:`repro.hypercube.labels` -- bit-string node labels, Hamming distance
+  and differing dimensions (paper Section 2.1).
 * :mod:`repro.hypercube.topology` -- complete and *generalized incomplete*
   hypercubes where "any number of nodes/links may be absent due to ...
   mobility, transmission range, and failure of nodes" (Section 2.1).
-* :mod:`repro.hypercube.routing` -- dimension-ordered (e-cube) routing and
-  fault-tolerant routing on incomplete hypercubes.
+* :mod:`repro.hypercube.routing` -- shortest-path (BFS) routing on
+  incomplete hypercubes.
 * :mod:`repro.hypercube.paths` -- the ``n`` node-disjoint paths between any
   pair of nodes that underpin the high-availability claim.
-* :mod:`repro.hypercube.multicast_tree` -- multicast trees inside a
-  hypercube (binomial-tree and greedy member-cover constructions).
+* :mod:`repro.hypercube.multicast_tree` -- the greedy (shortest-path)
+  multicast tree inside a hypercube.
 * :mod:`repro.hypercube.mesh` -- the 2-D (possibly incomplete) mesh of the
   Mesh Tier, each node of which is a whole logical hypercube.
 """
@@ -23,55 +23,29 @@ hypercube machinery the model relies on:
 from repro.hypercube.labels import (
     hamming_distance,
     differing_dimensions,
-    neighbors,
-    flip_bit,
     label_to_bits,
-    bits_to_label,
     all_labels,
     is_valid_label,
-    subcube_members,
-    gray_code,
 )
 from repro.hypercube.topology import Hypercube, IncompleteHypercube
-from repro.hypercube.routing import (
-    ecube_next_hop,
-    ecube_path,
-    shortest_path,
-    fault_tolerant_path,
-    RoutingError,
-)
-from repro.hypercube.paths import node_disjoint_paths, are_node_disjoint
-from repro.hypercube.multicast_tree import (
-    MulticastTree,
-    binomial_multicast_tree,
-    greedy_multicast_tree,
-)
-from repro.hypercube.mesh import MeshGrid, MeshNode, mesh_multicast_tree
+from repro.hypercube.routing import shortest_path, RoutingError
+from repro.hypercube.paths import node_disjoint_paths
+from repro.hypercube.multicast_tree import MulticastTree, greedy_multicast_tree
+from repro.hypercube.mesh import MeshGrid, mesh_multicast_tree
 
 __all__ = [
     "hamming_distance",
     "differing_dimensions",
-    "neighbors",
-    "flip_bit",
     "label_to_bits",
-    "bits_to_label",
     "all_labels",
     "is_valid_label",
-    "subcube_members",
-    "gray_code",
     "Hypercube",
     "IncompleteHypercube",
-    "ecube_next_hop",
-    "ecube_path",
     "shortest_path",
-    "fault_tolerant_path",
     "RoutingError",
     "node_disjoint_paths",
-    "are_node_disjoint",
     "MulticastTree",
-    "binomial_multicast_tree",
     "greedy_multicast_tree",
     "MeshGrid",
-    "MeshNode",
     "mesh_multicast_tree",
 ]

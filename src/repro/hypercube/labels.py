@@ -10,7 +10,7 @@ Python integers in ``[0, 2**n)`` -- dimension *i* corresponds to bit
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import List
 
 
 def is_valid_label(label: int, dimension: int) -> bool:
@@ -43,19 +43,6 @@ def differing_dimensions(a: int, b: int) -> List[int]:
     return dims
 
 
-def flip_bit(label: int, dimension: int) -> int:
-    """Return the label with bit ``dimension`` flipped (the neighbour along it)."""
-    if dimension < 0:
-        raise ValueError("dimension must be non-negative")
-    return label ^ (1 << dimension)
-
-
-def neighbors(label: int, dimension: int) -> List[int]:
-    """All ``dimension`` neighbours of ``label`` in a complete hypercube."""
-    _check_label(label, dimension)
-    return [label ^ (1 << d) for d in range(dimension)]
-
-
 def all_labels(dimension: int) -> range:
     """All labels of a complete ``dimension``-cube, in increasing order."""
     if dimension < 0:
@@ -71,85 +58,3 @@ def label_to_bits(label: int, dimension: int) -> str:
     """
     _check_label(label, dimension)
     return format(label, f"0{dimension}b")
-
-
-def bits_to_label(bits: str) -> int:
-    """Parse a bit-string label such as ``"1010"`` into its integer form."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"not a bit string: {bits!r}")
-    return int(bits, 2)
-
-
-def subcube_members(fixed_bits: str) -> List[int]:
-    """Expand a subcube pattern into its member labels.
-
-    ``fixed_bits`` is a string over ``{'0', '1', '*'}`` (MSB first); ``*``
-    positions are free.  For example ``"1**0"`` denotes a 2-dimensional
-    subcube of the 4-cube with 4 members.  The paper's symmetry property
-    states every (k+1)-dimensional subcube splits into two k-dimensional
-    subcubes; this helper makes that decomposition testable.
-    """
-    if not fixed_bits or any(c not in "01*" for c in fixed_bits):
-        raise ValueError(f"not a subcube pattern: {fixed_bits!r}")
-    members = [0]
-    for char in fixed_bits:
-        if char == "*":
-            members = [m << 1 for m in members] + [(m << 1) | 1 for m in members]
-        else:
-            bit = int(char)
-            members = [(m << 1) | bit for m in members]
-    return sorted(members)
-
-
-def gray_code(n: int) -> List[int]:
-    """The ``n``-bit reflected Gray code sequence (length ``2**n``).
-
-    Consecutive entries differ in exactly one bit, i.e. the sequence is a
-    Hamiltonian path of the ``n``-cube.  Used by tests as an independent
-    witness of hypercube connectivity and by ring-embedding utilities.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return [i ^ (i >> 1) for i in range(1 << n)]
-
-
-def iter_dimension_order(a: int, b: int, ascending: bool = True) -> Iterator[int]:
-    """Iterate the dimensions to correct when routing from ``a`` to ``b``.
-
-    Dimension-ordered (e-cube) routing corrects differing bits in a fixed
-    order; ``ascending`` selects lowest-dimension-first (the conventional
-    choice) or highest-first.
-    """
-    dims = differing_dimensions(a, b)
-    return iter(dims if ascending else list(reversed(dims)))
-
-
-def weight(label: int) -> int:
-    """Hamming weight (number of set bits) of a label."""
-    return label.bit_count()
-
-
-def canonical_subcube(labels: Sequence[int], dimension: int) -> str:
-    """Return the smallest subcube pattern containing every label given.
-
-    Bits that agree across all labels stay fixed; bits that differ become
-    ``*``.  Useful for summarising where a multicast group's members sit
-    inside a hypercube.
-    """
-    if not labels:
-        raise ValueError("labels must be non-empty")
-    for lab in labels:
-        _check_label(lab, dimension)
-    fixed_and = labels[0]
-    fixed_or = labels[0]
-    for lab in labels[1:]:
-        fixed_and &= lab
-        fixed_or |= lab
-    pattern = []
-    for d in reversed(range(dimension)):
-        bit = 1 << d
-        if (fixed_and & bit) == (fixed_or & bit):
-            pattern.append("1" if fixed_and & bit else "0")
-        else:
-            pattern.append("*")
-    return "".join(pattern)

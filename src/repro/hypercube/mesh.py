@@ -14,36 +14,17 @@ its region.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-from repro.hypercube.multicast_tree import MulticastTree
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: Mesh node coordinate (column, row) == MNID.
 MeshCoord = Tuple[int, int]
 
 
-@dataclass(frozen=True, slots=True)
-class MeshNode:
-    """One node of the mesh tier: a whole logical hypercube."""
-
-    coord: MeshCoord
-    hypercube_id: int
-
-    @property
-    def column(self) -> int:
-        return self.coord[0]
-
-    @property
-    def row(self) -> int:
-        return self.coord[1]
-
-
 class MeshGrid:
-    """A ``cols x rows`` logical mesh, possibly with absent nodes/links.
+    """A ``cols x rows`` logical mesh, possibly with absent nodes.
 
     Adjacency is the 4-neighbourhood.  Absent nodes model regions with no
-    cluster heads at all; absent links model adjacent regions whose border
-    cluster heads cannot currently reach each other.
+    cluster heads at all.
     """
 
     def __init__(self, cols: int, rows: int, present: Optional[Iterable[MeshCoord]] = None) -> None:
@@ -60,34 +41,11 @@ class MeshGrid:
             for coord in present:
                 self._validate(coord)
                 self._present.add(coord)
-        self._removed_links: Set[Tuple[MeshCoord, MeshCoord]] = set()
 
     def _validate(self, coord: MeshCoord) -> None:
         c, r = coord
         if not (0 <= c < self.cols and 0 <= r < self.rows):
             raise ValueError(f"mesh coordinate {coord} outside {self.cols}x{self.rows} grid")
-
-    @staticmethod
-    def _norm(a: MeshCoord, b: MeshCoord) -> Tuple[MeshCoord, MeshCoord]:
-        return (a, b) if a <= b else (b, a)
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def add_node(self, coord: MeshCoord) -> None:
-        self._validate(coord)
-        self._present.add(coord)
-
-    def remove_node(self, coord: MeshCoord) -> None:
-        self._present.discard(coord)
-
-    def remove_link(self, a: MeshCoord, b: MeshCoord) -> None:
-        if not self._adjacent(a, b):
-            raise ValueError(f"{a} and {b} are not mesh-adjacent")
-        self._removed_links.add(self._norm(a, b))
-
-    def restore_link(self, a: MeshCoord, b: MeshCoord) -> None:
-        self._removed_links.discard(self._norm(a, b))
 
     # ------------------------------------------------------------------
     # queries
@@ -101,19 +59,8 @@ class MeshGrid:
     def __len__(self) -> int:
         return len(self._present)
 
-    def nodes(self) -> Iterator[MeshCoord]:
-        return iter(sorted(self._present))
-
-    def has_node(self, coord: MeshCoord) -> bool:
-        return coord in self._present
-
     def has_link(self, a: MeshCoord, b: MeshCoord) -> bool:
-        return (
-            a in self._present
-            and b in self._present
-            and self._adjacent(a, b)
-            and self._norm(a, b) not in self._removed_links
-        )
+        return a in self._present and b in self._present and self._adjacent(a, b)
 
     def neighbors(self, coord: MeshCoord) -> List[MeshCoord]:
         if coord not in self._present:
@@ -126,28 +73,6 @@ class MeshGrid:
                 if self.has_link(coord, other):
                     out.append(other)
         return out
-
-    def manhattan(self, a: MeshCoord, b: MeshCoord) -> int:
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-    def is_connected(self) -> bool:
-        if not self._present:
-            return True
-        start = next(iter(self._present))
-        return len(self.reachable_from(start)) == len(self._present)
-
-    def reachable_from(self, source: MeshCoord) -> Set[MeshCoord]:
-        if source not in self._present:
-            raise KeyError(f"mesh node {source} not present")
-        seen = {source}
-        stack = [source]
-        while stack:
-            current = stack.pop()
-            for nb in self.neighbors(current):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return seen
 
     def shortest_path(self, source: MeshCoord, destination: MeshCoord) -> List[MeshCoord]:
         """BFS shortest path over present mesh nodes (inclusive endpoints)."""
@@ -183,36 +108,8 @@ class MeshMulticastTree:
     children: Dict[MeshCoord, List[MeshCoord]] = field(default_factory=dict)
     members: Set[MeshCoord] = field(default_factory=set)
 
-    def nodes(self) -> Set[MeshCoord]:
-        out = {self.root}
-        for parent, kids in self.children.items():
-            out.add(parent)
-            out.update(kids)
-        return out
-
-    def edges(self) -> List[Tuple[MeshCoord, MeshCoord]]:
-        out: List[Tuple[MeshCoord, MeshCoord]] = []
-        for parent, kids in self.children.items():
-            for kid in kids:
-                out.append((parent, kid))
-        return out
-
     def children_of(self, node: MeshCoord) -> List[MeshCoord]:
         return list(self.children.get(node, []))
-
-    def covers(self, members: Iterable[MeshCoord]) -> bool:
-        nodes = self.nodes()
-        return all(m in nodes for m in members)
-
-    def depth(self) -> int:
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            best = max(best, d)
-            for kid in self.children.get(node, []):
-                stack.append((kid, d + 1))
-        return best
 
     def serialize(self) -> Dict[str, object]:
         return {

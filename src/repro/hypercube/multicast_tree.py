@@ -2,25 +2,19 @@
 
 When a multicast packet first enters a logical hypercube, the entry CH
 "computes a multicast tree using its HT-Summary" and encapsulates it in the
-packet header (paper Section 4.3).  Two constructions are provided:
-
-* :func:`binomial_multicast_tree` -- the classical dimension-splitting
-  (binomial) broadcast/multicast tree on a complete hypercube, pruned to
-  the member set.  It spreads forwarding over many nodes, which is the
-  structural source of the paper's load-balancing claim.
-* :func:`greedy_multicast_tree` -- shortest-path-tree construction on an
-  incomplete hypercube (works with any pattern of missing CHs/links),
-  attaching every member via its BFS shortest path from the root.
+packet header (paper Section 4.3).  :func:`greedy_multicast_tree` builds
+that tree as a shortest-path tree on an incomplete hypercube (it works with
+any pattern of missing CHs/links), attaching every member via its BFS
+shortest path from the root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
-from repro.hypercube.labels import differing_dimensions
 from repro.hypercube.routing import RoutingError, shortest_path
-from repro.hypercube.topology import Hypercube, IncompleteHypercube
+from repro.hypercube.topology import IncompleteHypercube
 
 
 @dataclass
@@ -37,76 +31,8 @@ class MulticastTree:
     children: Dict[int, List[int]] = field(default_factory=dict)
     members: Set[int] = field(default_factory=set)
 
-    # -- structure queries ------------------------------------------------
-    def nodes(self) -> Set[int]:
-        out = {self.root}
-        for parent, kids in self.children.items():
-            out.add(parent)
-            out.update(kids)
-        return out
-
-    def edges(self) -> List[Tuple[int, int]]:
-        out: List[Tuple[int, int]] = []
-        for parent, kids in self.children.items():
-            for kid in kids:
-                out.append((parent, kid))
-        return out
-
-    def parent_of(self, node: int) -> Optional[int]:
-        for parent, kids in self.children.items():
-            if node in kids:
-                return parent
-        return None
-
     def children_of(self, node: int) -> List[int]:
         return list(self.children.get(node, []))
-
-    def covers(self, members: Iterable[int]) -> bool:
-        """True if every given member appears somewhere in the tree."""
-        nodes = self.nodes()
-        return all(m in nodes for m in members)
-
-    def depth(self) -> int:
-        """Longest root-to-leaf hop count."""
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            best = max(best, d)
-            for kid in self.children.get(node, []):
-                stack.append((kid, d + 1))
-        return best
-
-    def total_edges(self) -> int:
-        return len(self.edges())
-
-    def forwarding_load(self) -> Dict[int, int]:
-        """Number of transmissions each tree node performs (= #children)."""
-        load = {node: 0 for node in self.nodes()}
-        for parent, kids in self.children.items():
-            load[parent] = len(kids)
-        return load
-
-    def is_valid_tree(self) -> bool:
-        """Structural check: connected, acyclic, single parent per node."""
-        nodes = self.nodes()
-        seen: Set[int] = set()
-        stack = [self.root]
-        parents_count: Dict[int, int] = {}
-        for parent, kids in self.children.items():
-            for kid in kids:
-                parents_count[kid] = parents_count.get(kid, 0) + 1
-        if any(count > 1 for count in parents_count.values()):
-            return False
-        if self.root in parents_count:
-            return False
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                return False
-            seen.add(node)
-            stack.extend(self.children.get(node, []))
-        return seen == nodes
 
     def serialize(self) -> Dict[str, object]:
         """Plain-dict form for encapsulation into a packet header."""
@@ -124,52 +50,6 @@ class MulticastTree:
             children=children,
             members=set(data["members"]),
         )
-
-
-def binomial_multicast_tree(
-    dimension: int, root: int, members: Iterable[int]
-) -> MulticastTree:
-    """Dimension-splitting multicast tree on a complete ``dimension``-cube.
-
-    The classical hypercube broadcast assigns each destination to the
-    subtree obtained by correcting its highest differing dimension first;
-    recursing yields a binomial tree of depth at most ``dimension`` where
-    no node forwards to more than ``dimension`` children.  The tree is
-    pruned so only branches leading to members are kept.
-    """
-    member_set = {m for m in members}
-    for m in member_set:
-        if not 0 <= m < (1 << dimension):
-            raise ValueError(f"member {m} outside the {dimension}-cube")
-    if not 0 <= root < (1 << dimension):
-        raise ValueError(f"root {root} outside the {dimension}-cube")
-    tree = MulticastTree(root=root, members=set(member_set))
-    targets = member_set - {root}
-    _binomial_expand(tree, root, targets, dimension)
-    return tree
-
-
-def _binomial_expand(
-    tree: MulticastTree, node: int, targets: Set[int], max_dim: int
-) -> None:
-    """Recursively split ``targets`` among the children of ``node``.
-
-    Each target is assigned to the child obtained by flipping the target's
-    highest dimension that differs from ``node``; that child then owns all
-    targets whose highest differing bit was that dimension.
-    """
-    if not targets:
-        return
-    buckets: Dict[int, Set[int]] = {}
-    for target in targets:
-        dims = differing_dimensions(node, target)
-        top = dims[-1]
-        buckets.setdefault(top, set()).add(target)
-    for dim in sorted(buckets.keys(), reverse=True):
-        child = node ^ (1 << dim)
-        tree.children.setdefault(node, []).append(child)
-        remaining = buckets[dim] - {child}
-        _binomial_expand(tree, child, remaining, dim)
 
 
 def greedy_multicast_tree(

@@ -4,31 +4,15 @@
 therefore it can sustain up to n - 1 node failures" (paper Section 2.1).
 This module constructs those paths both on complete hypercubes (classical
 rotation construction) and on incomplete hypercubes (max-flow style
-augmentation), and is the basis of the availability experiments (E1, E5).
+augmentation); E1 measures both.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.hypercube.labels import differing_dimensions, hamming_distance
+from repro.hypercube.labels import differing_dimensions
 from repro.hypercube.topology import Hypercube, IncompleteHypercube
-
-
-def are_node_disjoint(paths: Sequence[Sequence[int]]) -> bool:
-    """True if no two paths share an intermediate node.
-
-    Endpoints (first and last node of each path) are allowed to coincide,
-    as in the standard definition of node-disjoint paths between a fixed
-    source/destination pair.
-    """
-    seen: Set[int] = set()
-    for path in paths:
-        for node in path[1:-1]:
-            if node in seen:
-                return False
-            seen.add(node)
-    return True
 
 
 def _complete_disjoint_paths(dimension: int, source: int, destination: int) -> List[List[int]]:
@@ -213,34 +197,3 @@ def _incomplete_disjoint_paths(
         if path:
             paths.append(path)
     return paths
-
-
-def max_disjoint_path_count(
-    cube: "Hypercube | IncompleteHypercube", source: int, destination: int
-) -> int:
-    """Number of node-disjoint paths available between a pair of nodes."""
-    return len(node_disjoint_paths(cube, source, destination))
-
-
-def survives_failures(
-    cube: "Hypercube | IncompleteHypercube",
-    source: int,
-    destination: int,
-    failed: Sequence[int],
-) -> bool:
-    """True if source can still reach destination after removing ``failed`` nodes.
-
-    This is the operational meaning of the paper's fault-tolerance claim:
-    with ``n`` disjoint paths the pair survives any ``n - 1`` node failures.
-    """
-    if source in failed or destination in failed:
-        return False
-    if isinstance(cube, Hypercube):
-        work = IncompleteHypercube(cube.dimension)
-    else:
-        work = cube.copy()
-    for label in failed:
-        work.remove_node(label)
-    if source not in work or destination not in work:
-        return False
-    return destination in work.reachable_from(source)

@@ -1,53 +1,21 @@
 """Routing inside (possibly incomplete) hypercubes.
 
 The hypercube tier routes packets between cluster heads using the local
-logical routes each CH maintains proactively (paper Section 4.1).  Three
-strategies are provided:
-
-* **e-cube (dimension-ordered) routing** on a complete hypercube -- the
-  classical deadlock-free strategy; optimal (Hamming-distance many hops).
-* **shortest-path routing** on an incomplete hypercube via BFS -- what a CH
-  computes from its k-logical-hop route table.
-* **fault-tolerant routing** that first tries e-cube and falls back to a
-  detour search when nodes/links are missing, mimicking the paper's claim
-  that "if the current logical route is broken, multiple candidate logical
-  routes become available immediately".
+logical routes each CH maintains proactively (paper Section 4.1).  This
+module holds the shortest-path (BFS) route on an incomplete hypercube that
+:func:`repro.hypercube.multicast_tree.greedy_multicast_tree` grafts each
+member onto its tree with.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, List
 
-from repro.hypercube.labels import differing_dimensions, hamming_distance
-from repro.hypercube.topology import Hypercube, IncompleteHypercube
+from repro.hypercube.topology import IncompleteHypercube
 
 
 class RoutingError(RuntimeError):
     """Raised when no route exists between the requested endpoints."""
-
-
-def ecube_next_hop(current: int, destination: int, ascending: bool = True) -> int:
-    """Next hop of dimension-ordered routing on a *complete* hypercube.
-
-    Corrects the lowest (or highest) differing dimension first.  Raises
-    :class:`RoutingError` if ``current == destination`` (there is no next
-    hop to take).
-    """
-    if current == destination:
-        raise RoutingError("already at destination")
-    dims = differing_dimensions(current, destination)
-    dim = dims[0] if ascending else dims[-1]
-    return current ^ (1 << dim)
-
-
-def ecube_path(source: int, destination: int, ascending: bool = True) -> List[int]:
-    """Full dimension-ordered path on a complete hypercube (inclusive ends)."""
-    path = [source]
-    current = source
-    while current != destination:
-        current = ecube_next_hop(current, destination, ascending)
-        path.append(current)
-    return path
 
 
 def shortest_path(
@@ -86,74 +54,3 @@ def _reconstruct(parent: Dict[int, int], source: int, destination: int) -> List[
         path.append(parent[path[-1]])
     path.reverse()
     return path
-
-
-def fault_tolerant_path(
-    cube: IncompleteHypercube,
-    source: int,
-    destination: int,
-    avoid: Optional[Iterable[int]] = None,
-) -> List[int]:
-    """Route on an incomplete hypercube, optionally avoiding extra nodes.
-
-    First tries the e-cube path; if every hop of it is present (and not in
-    ``avoid``) that optimal path is returned.  Otherwise a BFS detour that
-    skips absent/avoided nodes is computed.  This is the mechanism behind
-    the availability experiments: when a CH on the preferred route fails,
-    an alternative logical route is found immediately from already-known
-    local information.
-    """
-    avoid_set: Set[int] = set(avoid) if avoid else set()
-    if source in avoid_set or destination in avoid_set:
-        raise RoutingError("source or destination is in the avoid set")
-    if source not in cube or destination not in cube:
-        raise RoutingError("source or destination not present in the hypercube")
-    if source == destination:
-        return [source]
-
-    candidate = ecube_path(source, destination)
-    usable = True
-    for a, b in zip(candidate, candidate[1:]):
-        if b in avoid_set or not cube.has_edge(a, b):
-            usable = False
-            break
-    if usable:
-        return candidate
-
-    # Detour: BFS over present nodes excluding the avoid set.
-    parent: Dict[int, int] = {source: source}
-    frontier = [source]
-    while frontier:
-        next_frontier: List[int] = []
-        for current in frontier:
-            for nb in cube.neighbors(current):
-                if nb in parent or nb in avoid_set:
-                    continue
-                parent[nb] = current
-                if nb == destination:
-                    return _reconstruct(parent, source, destination)
-                next_frontier.append(nb)
-        frontier = next_frontier
-    raise RoutingError(
-        f"no fault-tolerant route from {source} to {destination} avoiding {sorted(avoid_set)}"
-    )
-
-
-def path_is_valid(cube: IncompleteHypercube, path: Sequence[int]) -> bool:
-    """True if every consecutive pair of ``path`` is a present logical link."""
-    if not path:
-        return False
-    if len(path) == 1:
-        return path[0] in cube
-    return all(cube.has_edge(a, b) for a, b in zip(path, path[1:]))
-
-
-def logical_hop_count(path: Sequence[int]) -> int:
-    """Number of logical hops of a logical route (paper Section 4.1).
-
-    A path of ``m`` nodes is the concatenation of ``m - 1`` 1-logical-hop
-    routes, e.g. ``1000 -> 1100 -> 1101`` has 2 logical hops.
-    """
-    if not path:
-        raise ValueError("empty path has no hop count")
-    return len(path) - 1

@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.hypercube.labels import (
-    all_labels,
-    hamming_distance,
-    is_valid_label,
-    neighbors as complete_neighbors,
-)
+from repro.hypercube.labels import all_labels, hamming_distance, is_valid_label
 
 #: An undirected logical link between two hypercube node labels.
 Edge = Tuple[int, int]
@@ -31,57 +26,16 @@ def _norm_edge(a: int, b: int) -> Edge:
 class Hypercube:
     """A complete ``n``-dimensional hypercube.
 
-    Thin immutable wrapper exposing the graph-theoretic queries the rest of
-    the library needs (neighbours, diameter, edges).  :class:`IncompleteHypercube`
-    derives the same interface for cubes with missing nodes/links.
+    Only its dimension is needed: :func:`repro.hypercube.paths.node_disjoint_paths`
+    takes the explicit construction for a complete cube.
+    :class:`IncompleteHypercube` holds the graph queries for cubes with
+    missing nodes/links.
     """
 
     def __init__(self, dimension: int) -> None:
         if dimension < 0:
             raise ValueError("dimension must be non-negative")
         self.dimension = dimension
-
-    # -- container protocol -------------------------------------------------
-    @property
-    def size(self) -> int:
-        return 1 << self.dimension
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __contains__(self, label: int) -> bool:
-        return is_valid_label(label, self.dimension)
-
-    def nodes(self) -> Iterator[int]:
-        return iter(all_labels(self.dimension))
-
-    def has_node(self, label: int) -> bool:
-        return label in self
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return a in self and b in self and hamming_distance(a, b) == 1
-
-    def neighbors(self, label: int) -> List[int]:
-        if label not in self:
-            raise KeyError(f"label {label} not in hypercube")
-        return complete_neighbors(label, self.dimension)
-
-    def edges(self) -> Iterator[Edge]:
-        for a in self.nodes():
-            for d in range(self.dimension):
-                b = a ^ (1 << d)
-                if a < b:
-                    yield (a, b)
-
-    def degree(self, label: int) -> int:
-        if label not in self:
-            raise KeyError(f"label {label} not in hypercube")
-        return self.dimension
-
-    @property
-    def diameter(self) -> int:
-        """The diameter of a complete ``n``-cube is ``n`` (paper Section 2.1)."""
-        return self.dimension
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Hypercube(dimension={self.dimension})"
@@ -121,30 +75,8 @@ class IncompleteHypercube:
                 self.remove_edge(a, b)
 
     # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def complete(cls, dimension: int) -> "IncompleteHypercube":
-        """An incomplete hypercube with every node and link present."""
-        return cls(dimension)
-
-    @classmethod
-    def from_hypercube(cls, cube: Hypercube) -> "IncompleteHypercube":
-        return cls(cube.dimension)
-
-    def copy(self) -> "IncompleteHypercube":
-        clone = IncompleteHypercube(self.dimension, self._nodes)
-        clone._removed_edges = set(self._removed_edges)
-        return clone
-
-    # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def add_node(self, label: int) -> None:
-        if not is_valid_label(label, self.dimension):
-            raise ValueError(f"label {label} out of range for dimension {self.dimension}")
-        self._nodes.add(label)
-
     def remove_node(self, label: int) -> None:
         self._nodes.discard(label)
 
@@ -152,9 +84,6 @@ class IncompleteHypercube:
         if hamming_distance(a, b) != 1:
             raise ValueError(f"{a} and {b} are not hypercube-adjacent")
         self._removed_edges.add(_norm_edge(a, b))
-
-    def restore_edge(self, a: int, b: int) -> None:
-        self._removed_edges.discard(_norm_edge(a, b))
 
     # ------------------------------------------------------------------
     # queries
@@ -175,13 +104,6 @@ class IncompleteHypercube:
     def node_set(self) -> FrozenSet[int]:
         return frozenset(self._nodes)
 
-    def missing_nodes(self) -> List[int]:
-        """Labels of the complete cube that are absent here."""
-        return [lab for lab in all_labels(self.dimension) if lab not in self._nodes]
-
-    def has_node(self, label: int) -> bool:
-        return label in self._nodes
-
     def has_edge(self, a: int, b: int) -> bool:
         return (
             a in self._nodes
@@ -199,19 +121,6 @@ class IncompleteHypercube:
             if self.has_edge(label, other):
                 out.append(other)
         return out
-
-    def degree(self, label: int) -> int:
-        return len(self.neighbors(label))
-
-    def edges(self) -> Iterator[Edge]:
-        for a in sorted(self._nodes):
-            for d in range(self.dimension):
-                b = a ^ (1 << d)
-                if a < b and self.has_edge(a, b):
-                    yield (a, b)
-
-    def edge_count(self) -> int:
-        return sum(1 for _ in self.edges())
 
     # ------------------------------------------------------------------
     # connectivity
@@ -235,16 +144,6 @@ class IncompleteHypercube:
                     seen.add(nb)
                     frontier.append(nb)
         return seen
-
-    def connected_components(self) -> List[Set[int]]:
-        remaining = set(self._nodes)
-        components: List[Set[int]] = []
-        while remaining:
-            start = next(iter(remaining))
-            comp = self.reachable_from(start)
-            components.append(comp)
-            remaining -= comp
-        return components
 
     def eccentricity(self, source: int) -> int:
         """Largest hop distance from ``source`` to any reachable node."""

@@ -53,17 +53,6 @@ class AvailabilityMetrics:
     availability: float          #: during-failure ratio / pre-failure ratio (capped at 1)
     recovery_time: float         #: seconds from the failure until recovery (inf if never)
 
-    def as_row(self) -> dict:
-        return {
-            "pre_pdr": round(self.pre_failure_ratio, 3),
-            "during_pdr": round(self.during_failure_ratio, 3),
-            "post_pdr": round(self.post_failure_ratio, 3),
-            "availability": round(self.availability, 3),
-            "recovery_s": (
-                round(self.recovery_time, 1) if self.recovery_time != float("inf") else "never"
-            ),
-        }
-
 
 def _ratio_between(network: Network, start: float, end: float) -> float:
     intended = 0

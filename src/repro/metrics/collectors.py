@@ -25,23 +25,10 @@ class MetricsReport:
     protocol_stats: Dict[str, int] = field(default_factory=dict)
     extras: Dict[str, float] = field(default_factory=dict)
 
-    def as_row(self) -> dict:
-        """Flat dictionary for table printing."""
-        row = {
-            "protocol": self.protocol,
-            "nodes": self.node_count,
-        }
-        row.update(self.delivery.as_row())
-        row.update(self.overhead.as_row())
-        row.update(self.load_balance.as_row())
-        row.update({k: round(v, 4) if isinstance(v, float) else v for k, v in self.extras.items()})
-        return row
-
     def flat_row(self) -> dict:
         """Exhaustive flat dictionary of every figure in the report.
 
-        Unlike :meth:`as_row` (curated columns for table printing), this
-        includes the raw counters, the full delay distribution, the
+        It includes the raw counters, the full delay distribution, the
         backbone load-balance view (``backbone_``-prefixed) and the
         protocol counters -- everything a detached worker process needs to
         report so the orchestrator never has to ship a scenario object

@@ -22,14 +22,6 @@ class DeliveryMetrics:
     p95_delay: float
     max_delay: float
 
-    def as_row(self) -> dict:
-        return {
-            "packets": self.packets_originated,
-            "pdr": round(self.delivery_ratio, 4),
-            "mean_delay_ms": round(self.mean_delay * 1000, 2),
-            "p95_delay_ms": round(self.p95_delay * 1000, 2),
-        }
-
 
 def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
     if not sorted_values:

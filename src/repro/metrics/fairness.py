@@ -67,14 +67,6 @@ class LoadBalanceMetrics:
     cov: float
     peak_to_mean_ratio: float
 
-    def as_row(self) -> dict:
-        return {
-            "jain": round(self.jain, 4),
-            "cov": round(self.cov, 3),
-            "peak_to_mean": round(self.peak_to_mean_ratio, 2),
-            "max_load": self.max_load,
-        }
-
 
 def forwarding_loads(
     network: Network, restrict_to: Optional[Iterable[int]] = None

@@ -28,14 +28,6 @@ class OverheadMetrics:
     transmissions_per_delivered: float
     control_bytes_per_node_per_second: float
 
-    def as_row(self) -> dict:
-        return {
-            "ctrl_pkts": self.control_packets,
-            "ctrl_bytes": self.control_bytes,
-            "ctrl_per_delivery": round(self.control_per_delivered, 2),
-            "tx_per_delivery": round(self.transmissions_per_delivered, 2),
-        }
-
 
 def compute_overhead_metrics(network: Network, duration: float) -> OverheadMetrics:
     """Compute overhead counters accumulated by ``network`` over ``duration`` seconds."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.geo.area import Area, BoundaryPolicy
@@ -17,14 +17,6 @@ class NodeMotionState:
 
     position: Point
     velocity: Vector
-
-    @property
-    def speed(self) -> float:
-        return self.velocity.magnitude
-
-    @property
-    def heading(self) -> float:
-        return self.velocity.heading
 
 
 class MobilityModel(abc.ABC):
@@ -59,18 +51,6 @@ class MobilityModel(abc.ABC):
 
     def velocity(self, node_id: int) -> Vector:
         return self._states[node_id].velocity
-
-    def state(self, node_id: int) -> NodeMotionState:
-        return self._states[node_id]
-
-    def states(self) -> Dict[int, NodeMotionState]:
-        return dict(self._states)
-
-    def set_position(self, node_id: int, position: Point) -> None:
-        """Force a node to a given position (scenario setup helper)."""
-        if not self.area.contains(position):
-            raise ValueError(f"position {position} outside the deployment area")
-        self._states[node_id] = replace(self._states[node_id], position=position)
 
     def advance(self, dt: float) -> None:
         """Advance every node by ``dt`` seconds.

@@ -75,14 +75,6 @@ class ReferencePointGroupMobility(MobilityModel):
         self._offsets: Dict[int, Vector] = {}
         super().__init__(area, node_list, seed)
 
-    def group_of(self, node_id: int) -> int:
-        """Group id the node belongs to."""
-        return self._node_group[node_id]
-
-    def group_center(self, group_id: int) -> Point:
-        """Current position of a group's logical centre."""
-        return self._centers.position(group_id)
-
     def _random_offset(self) -> Vector:
         angle = self.rng.uniform(-math.pi, math.pi)
         radius = self.rng.uniform(0.0, self.member_radius)

@@ -26,7 +26,7 @@ Four registries are provided, each with a ``register_*`` decorator:
   duty-cycle accounting from :mod:`repro.simulation.phy`).
 * :data:`MOBILITY_MODELS` / :func:`register_mobility` -- ``fn(config,
   node_ids) -> MobilityModel`` factories.  Built-ins:
-  ``random_waypoint``, ``static``, ``random_walk``, ``gauss_markov``.
+  ``random_waypoint`` and ``static``.
 
 Third-party components register exactly like the built-ins::
 

@@ -20,7 +20,7 @@ packet-level simulation substrate every experiment runs on:
   :class:`~repro.simulation.stack.ProtocolStack` interface scenario
   assembly resolves through :mod:`repro.registry` (plus the
   one-agent-per-node :class:`~repro.simulation.stack.AgentStack` base).
-* :mod:`repro.simulation.traffic` -- CBR / Poisson multicast sources.
+* :mod:`repro.simulation.traffic` -- CBR multicast sources.
 * :mod:`repro.simulation.groups` -- multicast group membership with churn.
 
 Radio and MAC models are registered by name (``unit_disk`` /
@@ -36,7 +36,7 @@ from repro.simulation.node import MobileNode, NodeStats
 from repro.simulation.network import Network, NetworkConfig
 from repro.simulation.agent import ProtocolAgent
 from repro.simulation.stack import ProtocolStack, AgentStack
-from repro.simulation.traffic import CbrMulticastSource, PoissonMulticastSource
+from repro.simulation.traffic import CbrMulticastSource
 from repro.simulation.groups import MulticastGroupManager, GroupEvent
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "ProtocolStack",
     "AgentStack",
     "CbrMulticastSource",
-    "PoissonMulticastSource",
     "MulticastGroupManager",
     "GroupEvent",
 ]

@@ -54,9 +54,6 @@ class ProtocolAgent(abc.ABC):
     def on_start(self) -> None:
         """Called once when the network starts the simulation."""
 
-    def on_stop(self) -> None:
-        """Called when the simulation is being torn down."""
-
     @abc.abstractmethod
     def on_packet(self, packet: "Packet", from_node: int) -> None:
         """Called for every packet this node receives."""

@@ -40,12 +40,11 @@ class _FanOut(Event):
     """One heap entry making ``callback(*args)`` for each ``args`` in ``items``.
 
     Call ``i`` owns sequence number ``sequence + i``.  Before each call
-    after the first, the entry pushes itself back under that number if
-    :meth:`Simulator.stop` was called or the heap top sorts before it (a
-    zero-delay, lower-priority event queued by an earlier call), so the
-    calls interleave with other events exactly as separate entries would.
-    ``callback`` holds the bound :meth:`_fire`, a reference cycle that is
-    cut once the last call returns or the entry is cancelled, so a spent
+    after the first, the entry pushes itself back under that number if the
+    heap top sorts before it (a zero-delay, lower-priority event queued by
+    an earlier call), so the calls interleave with other events exactly as
+    separate entries would.  ``callback`` holds the bound :meth:`_fire`, a
+    reference cycle that is cut once the last call returns, so a spent
     fan-out and its items are freed by reference counting alone.
     """
 
@@ -68,11 +67,6 @@ class _FanOut(Event):
         self._items = items
         self._next = 0
 
-    def cancel(self) -> None:
-        """Drop the calls not made yet."""
-        self.cancelled = True
-        self.callback = None
-
     def _fire(self) -> None:
         simulator = self._simulator
         heap = simulator._heap
@@ -86,9 +80,7 @@ class _FanOut(Event):
             if self.cancelled:
                 return
             index += 1
-            if not simulator._running or (
-                heap and heap[0] < (time, priority, sequence + index)
-            ):
+            if heap and heap[0] < (time, priority, sequence + index):
                 self._next = index
                 heapq.heappush(heap, (time, priority, sequence + index, self))
                 return
@@ -105,7 +97,6 @@ class Simulator:
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._sequence = itertools.count()
         self._now = 0.0
-        self._running = False
         self._processed = 0
 
     # ------------------------------------------------------------------
@@ -118,15 +109,6 @@ class Simulator:
     def processed_events(self) -> int:
         """Number of callback calls executed so far (each fan-out call counts)."""
         return self._processed
-
-    @property
-    def pending_events(self) -> int:
-        """Number of heap entries still queued (including cancelled ones).
-
-        A fan-out counts once, however many of its calls are still to come,
-        so this is not the number of calls left.
-        """
-        return len(self._heap)
 
     # ------------------------------------------------------------------
     def schedule(
@@ -178,8 +160,7 @@ class Simulator:
         if end_time < self._now:
             raise ValueError(f"end_time {end_time} is in the past (now={self._now})")
         heap = self._heap
-        self._running = True
-        while heap and self._running:
+        while heap:
             if heap[0][0] > end_time:
                 break
             event = heapq.heappop(heap)[3]
@@ -189,33 +170,10 @@ class Simulator:
             event.callback()
             self._processed += 1
         self._now = max(self._now, end_time)
-        self._running = False
 
     def run(self, duration: float) -> None:
         """Run for ``duration`` simulated seconds from the current time."""
         self.run_until(self._now + duration)
-
-    def stop(self) -> None:
-        """Stop a running :meth:`run_until` after the current event returns."""
-        self._running = False
-
-    def drain(self, max_events: Optional[int] = None) -> int:
-        """Run every queued event regardless of time; returns calls executed.
-
-        Mainly useful in unit tests that want to flush all pending work.
-        """
-        executed = 0
-        while self._heap:
-            if max_events is not None and executed >= max_events:
-                break
-            event = heapq.heappop(self._heap)[3]
-            if event.cancelled:
-                continue
-            self._now = max(self._now, event.time)
-            event.callback()
-            executed += 1
-            self._processed += 1
-        return executed
 
 
 class PeriodicTimer:
@@ -272,7 +230,3 @@ class PeriodicTimer:
         self._stopped = True
         if self._event is not None:
             self._event.cancel()
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped

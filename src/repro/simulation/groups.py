@@ -85,12 +85,6 @@ class MulticastGroupManager:
             GroupChange(self.network.simulator.now, node_id, group, GroupEvent.LEAVE)
         )
 
-    def members(self, group: int) -> Set[int]:
-        return set(self.groups.get(group, set()))
-
-    def group_ids(self) -> List[int]:
-        return sorted(self.groups.keys())
-
     # ------------------------------------------------------------------
     # churn
     # ------------------------------------------------------------------
@@ -134,17 +128,3 @@ class MulticastGroupManager:
 
         first_gap = self.rng.expovariate(rate)
         self.network.simulator.schedule(first_gap, churn_step)
-
-    # ------------------------------------------------------------------
-    # analysis helpers
-    # ------------------------------------------------------------------
-    def changes_since(self, time: float) -> List[GroupChange]:
-        return [c for c in self.history if c.time >= time]
-
-    def churn_rate_observed(self, window: float) -> float:
-        """Observed membership changes per second over the trailing window."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        now = self.network.simulator.now
-        recent = [c for c in self.history if c.time >= now - window]
-        return len(recent) / window

@@ -60,15 +60,6 @@ class MacModel(abc.ABC):
         non-negative contender count, however large.
         """
 
-    def airtime(self, size_bytes: int) -> float:
-        """Seconds the frame occupies the medium.
-
-        Default: the uncontended transmission delay -- a conservative
-        stand-in for MACs that do not separate medium occupancy from
-        per-hop latency.
-        """
-        return self.transmission_delay(size_bytes, 0)
-
     def plan_transmission(
         self,
         sender: int,

@@ -74,12 +74,6 @@ class DeliveryRecord:
     intended: Set[int]
     delivered: Dict[int, float] = field(default_factory=dict)
 
-    @property
-    def delivery_ratio(self) -> float:
-        if not self.intended:
-            return 1.0
-        return len(self.delivered) / len(self.intended)
-
     def delays(self) -> List[float]:
         return [t - self.sent_at for t in self.delivered.values()]
 
@@ -119,7 +113,6 @@ class Network:
         self.stats = NetworkStats()
         self.deliveries: Dict[int, DeliveryRecord] = {}
         self._neighbor_cache: Optional[Dict[int, Mapping[int, Point]]] = None
-        self._mobility_timer: Optional[PeriodicTimer] = None
         self._started = False
 
     # ------------------------------------------------------------------
@@ -137,15 +130,8 @@ class Network:
         self.nodes[node.node_id] = node
         return node
 
-    def add_nodes(self, nodes: Iterable[MobileNode]) -> None:
-        for node in nodes:
-            self.add_node(node)
-
     def node(self, node_id: int) -> MobileNode:
         return self.nodes[node_id]
-
-    def alive_nodes(self) -> List[MobileNode]:
-        return [n for n in self.nodes.values() if n.alive]
 
     # ------------------------------------------------------------------
     # positions / neighbours
@@ -164,16 +150,13 @@ class Network:
         """``{neighbour: position}`` of ``node_id``, in :meth:`neighbors_of` order.
 
         The mapping is shared and read-only: it is built once per mobility
-        tick (and after :meth:`fail_nodes` / :meth:`recover_nodes`) and
-        handed to every caller until then.
+        tick (and after :meth:`fail_nodes`) and handed to every caller
+        until then.
         """
         table = self._neighbor_cache
         if table is None:
             table = self._neighbor_table()
         return table.get(node_id, _NO_NEIGHBORS)
-
-    def are_neighbors(self, a: int, b: int) -> bool:
-        return b in self.neighbor_positions(a)
 
     def _invalidate_neighbors(self) -> None:
         self._neighbor_cache = None
@@ -209,39 +192,15 @@ class Network:
         self._neighbor_cache = table
         return table
 
-    def connectivity_components(self) -> List[Set[int]]:
-        """Connected components of the current physical topology."""
-        table = self._neighbor_table()
-        remaining = set(table.keys())
-        components: List[Set[int]] = []
-        while remaining:
-            start = remaining.pop()
-            comp = {start}
-            stack = [start]
-            while stack:
-                current = stack.pop()
-                for nb in table.get(current, []):
-                    if nb not in comp:
-                        comp.add(nb)
-                        stack.append(nb)
-            components.append(comp)
-            remaining -= comp
-        return components
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def started(self) -> bool:
-        """True once :meth:`start` has run (agents notified, mobility ticking)."""
-        return self._started
-
     def start(self) -> None:
         """Start mobility updates and notify every agent."""
         if self._started:
             raise RuntimeError("network already started")
         self._started = True
-        self._mobility_timer = PeriodicTimer(
+        PeriodicTimer(
             self.simulator,
             self.config.mobility_step,
             self._mobility_tick,
@@ -251,19 +210,6 @@ class Network:
         for node in self.nodes.values():
             for agent in node.agents:
                 agent.on_start()
-
-    def run(self, duration: float) -> None:
-        """Start (if needed) and run for ``duration`` simulated seconds."""
-        if not self._started:
-            self.start()
-        self.simulator.run(duration)
-
-    def stop(self) -> None:
-        if self._mobility_timer is not None:
-            self._mobility_timer.stop()
-        for node in self.nodes.values():
-            for agent in node.agents:
-                agent.on_stop()
 
     def _mobility_tick(self) -> None:
         self.mobility.advance(self.config.mobility_step)
@@ -437,9 +383,4 @@ class Network:
     def fail_nodes(self, node_ids: Iterable[int]) -> None:
         for node_id in node_ids:
             self.nodes[node_id].fail()
-        self._invalidate_neighbors()
-
-    def recover_nodes(self, node_ids: Iterable[int]) -> None:
-        for node_id in node_ids:
-            self.nodes[node_id].recover()
         self._invalidate_neighbors()

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from repro.geo.geometry import Point, Vector
 from repro.simulation.packet import Packet, PacketKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,17 +119,6 @@ class MobileNode:
         return any(a.protocol_name == protocol_name for a in self._agents)
 
     # ------------------------------------------------------------------
-    # position
-    # ------------------------------------------------------------------
-    @property
-    def position(self) -> Point:
-        return self.network.position_of(self.node_id)
-
-    @property
-    def velocity(self) -> Vector:
-        return self.network.velocity_of(self.node_id)
-
-    # ------------------------------------------------------------------
     # membership
     # ------------------------------------------------------------------
     def join_group(self, group: int) -> None:
@@ -154,9 +142,6 @@ class MobileNode:
     def fail(self) -> None:
         """Mark the node as failed: it stops sending and receiving."""
         self.alive = False
-
-    def recover(self) -> None:
-        self.alive = True
 
     # ------------------------------------------------------------------
     # I/O

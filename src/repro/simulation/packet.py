@@ -87,58 +87,9 @@ class Packet:
         copy.logical_hops = self.logical_hops
         return copy
 
-    def age(self, now: float) -> float:
-        """Seconds since the packet was created."""
-        return now - self.created_at
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Packet(uid={self.uid}, {self.protocol}/{self.msg_type}, "
             f"src={self.source}, group={self.group}, dst={self.destination}, "
             f"hops={self.hops})"
         )
-
-
-def control_packet(
-    protocol: str,
-    msg_type: str,
-    source: int,
-    size_bytes: int,
-    now: float,
-    destination: Optional[int] = None,
-    headers: Optional[Dict[str, Any]] = None,
-) -> Packet:
-    """Convenience constructor for control-plane packets."""
-    return Packet(
-        kind=PacketKind.CONTROL,
-        protocol=protocol,
-        msg_type=msg_type,
-        source=source,
-        destination=destination,
-        headers=headers or {},
-        size_bytes=size_bytes,
-        created_at=now,
-    )
-
-
-def data_packet(
-    protocol: str,
-    source: int,
-    group: int,
-    payload: Any,
-    size_bytes: int,
-    now: float,
-    headers: Optional[Dict[str, Any]] = None,
-) -> Packet:
-    """Convenience constructor for application data packets."""
-    return Packet(
-        kind=PacketKind.DATA,
-        protocol=protocol,
-        msg_type="data",
-        source=source,
-        group=group,
-        payload=payload,
-        headers=headers or {},
-        size_bytes=size_bytes,
-        created_at=now,
-    )

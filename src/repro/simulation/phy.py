@@ -315,11 +315,6 @@ class SinrRadio(RadioModel):
     def nominal_range(self) -> float:
         return self._range
 
-    @property
-    def interference_radius(self) -> float:
-        """Distance within which a concurrent sender counts as an interferer."""
-        return self._interference_radius
-
     def rssi_at(self, d: float) -> float:
         """Received signal strength (dBm) at distance ``d`` metres."""
         d0 = self.config.reference_distance
@@ -501,15 +496,6 @@ class CsmaCaMac(MacModel):
             return False
         ledger.append((now, airtime))
         return True
-
-    def window_usage(self, sender: int, now: float) -> float:
-        """Airtime ``sender`` has committed within the trailing window."""
-        window = self.config.duty_cycle_window
-        return sum(
-            airtime
-            for start, airtime in self._usage.get(sender, ())
-            if start > now - window
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Multicast traffic sources.
 
-Experiments drive the protocols with constant-bit-rate (CBR) or Poisson
-multicast sources attached to specific nodes.  Sources talk to the node's
+Experiments drive the protocols with constant-bit-rate (CBR) multicast
+sources attached to specific nodes.  Sources talk to the node's
 multicast protocol agent through the :class:`~repro.simulation.agent.ProtocolAgent.send_multicast`
 entry point, so the same source works with the HVDB protocol and with
 every baseline.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.simulation.engine import PeriodicTimer, Simulator
+from repro.simulation.engine import PeriodicTimer
 from repro.simulation.network import Network
 
 
@@ -71,59 +71,3 @@ class CbrMulticastSource:
         self._seq += 1
         agent.send_multicast(self.group, payload=("cbr", self._seq), size_bytes=self.payload_bytes)
         self.packets_sent += 1
-
-    def stop(self) -> None:
-        self._timer.stop()
-
-
-class PoissonMulticastSource:
-    """Poisson multicast source with exponential inter-packet gaps."""
-
-    def __init__(
-        self,
-        network: Network,
-        source_node: int,
-        group: int,
-        protocol_name: str,
-        rate: float = 1.0,
-        payload_bytes: int = 512,
-        start_time: float = 0.0,
-        stop_time: Optional[float] = None,
-        seed: Optional[int] = None,
-    ) -> None:
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        if payload_bytes <= 0:
-            raise ValueError("payload size must be positive")
-        self.network = network
-        self.source_node = source_node
-        self.group = group
-        self.protocol_name = protocol_name
-        self.rate = rate
-        self.payload_bytes = payload_bytes
-        self.stop_time = stop_time
-        self.packets_sent = 0
-        self._seq = 0
-        self._rng = random.Random(seed)
-        self._stopped = False
-        network.simulator.schedule(max(start_time, 1e-9), self._emit)
-
-    def _emit(self) -> None:
-        if self._stopped:
-            return
-        now = self.network.simulator.now
-        if self.stop_time is not None and now > self.stop_time:
-            return
-        node = self.network.node(self.source_node)
-        if node.alive:
-            agent = node.agent(self.protocol_name)
-            self._seq += 1
-            agent.send_multicast(
-                self.group, payload=("poisson", self._seq), size_bytes=self.payload_bytes
-            )
-            self.packets_sent += 1
-        gap = self._rng.expovariate(self.rate)
-        self.network.simulator.schedule(gap, self._emit)
-
-    def stop(self) -> None:
-        self._stopped = True

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Collection, Mapping, Optional, Sequence
+from typing import Collection, Mapping, Optional
 
-from repro.geo.geometry import Point, distance
+from repro.geo.geometry import Point
 
 
 def greedy_next_hop(
@@ -67,20 +67,3 @@ def recovery_next_hop(
             best_distance = d
             best_id = node_id
     return best_id
-
-
-def path_stretch(path_positions: Sequence[Point]) -> float:
-    """Ratio of the travelled path length to the straight-line distance.
-
-    Used by unit tests and the routing-quality diagnostics; 1.0 means the
-    packet travelled along the straight line.
-    """
-    if len(path_positions) < 2:
-        return 1.0
-    travelled = sum(
-        distance(a, b) for a, b in zip(path_positions, path_positions[1:])
-    )
-    direct = distance(path_positions[0], path_positions[-1])
-    if direct == 0:
-        return 1.0
-    return travelled / direct

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from typing import Any, Dict, Optional, Sequence, Set
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:  # pragma: no cover - environment dependent
@@ -19,10 +20,13 @@ import pytest
 from repro.geo.area import Area
 from repro.geo.geometry import distance
 from repro.geo.grid import VirtualCircleGrid
+from repro.hypercube.multicast_tree import MulticastTree
+from repro.hypercube.topology import IncompleteHypercube
 from repro.mobility.static import StaticMobility
 from repro.simulation.mac import IdealMac
 from repro.simulation.network import Network, NetworkConfig
 from repro.simulation.node import MobileNode
+from repro.simulation.packet import Packet, PacketKind
 from repro.simulation.phy import SinrRadio
 from repro.simulation.radio import LogDistanceRadio, UnitDiskRadio
 
@@ -87,3 +91,102 @@ def literal_in_range(radio):
     if type(radio) is SinrRadio:
         return lambda a, b: distance(a, b) <= radio._range + 1e-9
     raise KeyError(f"no literal disc test for {type(radio).__name__}")
+
+
+def control_packet(
+    protocol: str,
+    msg_type: str,
+    source: int,
+    size_bytes: int,
+    now: float,
+    destination: Optional[int] = None,
+    headers: Optional[Dict[str, Any]] = None,
+) -> Packet:
+    """A control-plane packet, as the protocols build them inline."""
+    return Packet(
+        kind=PacketKind.CONTROL,
+        protocol=protocol,
+        msg_type=msg_type,
+        source=source,
+        destination=destination,
+        headers=headers or {},
+        size_bytes=size_bytes,
+        created_at=now,
+    )
+
+
+def data_packet(
+    protocol: str,
+    source: int,
+    group: int,
+    payload: Any,
+    size_bytes: int,
+    now: float,
+    headers: Optional[Dict[str, Any]] = None,
+) -> Packet:
+    """An application data packet, as the protocols build them inline."""
+    return Packet(
+        kind=PacketKind.DATA,
+        protocol=protocol,
+        msg_type="data",
+        source=source,
+        group=group,
+        payload=payload,
+        headers=headers or {},
+        size_bytes=size_bytes,
+        created_at=now,
+    )
+
+
+def is_valid_tree(tree: MulticastTree) -> bool:
+    """Oracle: ``tree`` is connected from its root, acyclic, one parent per node."""
+    nodes = {tree.root}
+    parents_count: Dict[int, int] = {}
+    for parent, kids in tree.children.items():
+        nodes.add(parent)
+        nodes.update(kids)
+        for kid in kids:
+            parents_count[kid] = parents_count.get(kid, 0) + 1
+    if any(count > 1 for count in parents_count.values()):
+        return False
+    if tree.root in parents_count:
+        return False
+    seen: Set[int] = set()
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            return False
+        seen.add(node)
+        stack.extend(tree.children.get(node, []))
+    return seen == nodes
+
+
+def tree_edges(tree) -> list:
+    """``(parent, child)`` links of a hypercube- or mesh-tier multicast tree."""
+    return [(parent, kid) for parent, kids in tree.children.items() for kid in kids]
+
+
+def tree_nodes(tree) -> set:
+    """Every node of a multicast tree: its root and both ends of each link."""
+    return {tree.root} | {node for edge in tree_edges(tree) for node in edge}
+
+
+def are_node_disjoint(paths: Sequence[Sequence[int]]) -> bool:
+    """Oracle: no two paths share an intermediate node (endpoints may)."""
+    seen: Set[int] = set()
+    for path in paths:
+        for node in path[1:-1]:
+            if node in seen:
+                return False
+            seen.add(node)
+    return True
+
+
+def path_is_valid(cube: IncompleteHypercube, path: Sequence[int]) -> bool:
+    """Oracle: every consecutive pair of ``path`` is a present logical link."""
+    if not path:
+        return False
+    if len(path) == 1:
+        return path[0] in cube
+    return all(cube.has_edge(a, b) for a, b in zip(path, path[1:]))

@@ -22,11 +22,11 @@ from repro.experiments.orchestrator import (
     adaptive_seed_sequence,
     expand_points,
     export_csv,
-    load_adaptive_results,
     merge_caches,
     register_collector,
     run_sweep_adaptive,
     shard_points,
+    sweep,
 )
 from repro.experiments.scenarios import ScenarioConfig
 
@@ -229,7 +229,7 @@ class TestAdaptiveCacheDeterminism:
         spec = tiny_spec(replication=self.POLICY)
         cache_dir = str(tmp_path / "cache")
         live = run_sweep_adaptive(spec, workers=1, cache_dir=cache_dir)
-        replay, missing = load_adaptive_results(spec, cache_dir)
+        _, replay, missing = sweep(spec, spec.replication, cache_dir=cache_dir, cache_only=True)
         assert missing == []
         assert replay.executed == 0
         assert [r.run_id for r in replay.results] == [r.run_id for r in live.results]
@@ -239,7 +239,9 @@ class TestAdaptiveCacheDeterminism:
 
     def test_replay_of_cold_cache_reports_incomplete_points(self, tmp_path):
         spec = tiny_spec(replication=self.POLICY)
-        replay, missing = load_adaptive_results(spec, str(tmp_path / "empty"))
+        _, replay, missing = sweep(
+            spec, spec.replication, cache_dir=str(tmp_path / "empty"), cache_only=True
+        )
         assert len(missing) == 2 * self.POLICY.min_seeds
         assert all(p.status == "incomplete" for p in replay.points)
         assert replay.results == []
@@ -259,7 +261,7 @@ class TestAdaptiveCacheDeterminism:
         merged_dir = str(tmp_path / "merged")
         merge_caches(shard_dirs, merged_dir)
 
-        merged, missing = load_adaptive_results(spec, merged_dir)
+        _, merged, missing = sweep(spec, spec.replication, cache_dir=merged_dir, cache_only=True)
         assert missing == []
         assert [r.run_id for r in merged.results] == [
             r.run_id for r in reference.results
@@ -466,7 +468,7 @@ class TestVarianceAwareBatching:
         live = run_sweep_adaptive(spec, workers=1, cache_dir=cache_dir)
         again = run_sweep_adaptive(spec, workers=1, cache_dir=cache_dir)
         assert again.executed == 0
-        replay, missing = load_adaptive_results(spec, cache_dir)
+        _, replay, missing = sweep(spec, spec.replication, cache_dir=cache_dir, cache_only=True)
         assert missing == []
         for other in (again, replay):
             assert [r.run_id for r in other.results] == [

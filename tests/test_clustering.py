@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.clustering.cluster import Cluster, ClusterHeadCandidate, elect_cluster_head
+from repro.clustering.cluster import ClusterHeadCandidate, elect_cluster_head
 from repro.clustering.mobility_prediction import (
     STATIONARY_RESIDENCE_TIME,
     predicted_residence_time,
-    residence_probability,
 )
 from repro.clustering.service import ClusteringService
 from repro.geo.area import Area
@@ -63,16 +62,6 @@ class TestResidenceTimePrediction:
     def test_invalid_radius(self):
         with pytest.raises(ValueError):
             predicted_residence_time(CENTER, Vector(1.0, 0.0), CENTER, 0.0)
-
-    def test_residence_probability_ordering_preserved(self):
-        p_slow = residence_probability(CENTER, Vector(1.0, 0.0), CENTER, RADIUS, horizon=30.0)
-        p_fast = residence_probability(CENTER, Vector(20.0, 0.0), CENTER, RADIUS, horizon=30.0)
-        assert p_fast < p_slow
-        assert 0.0 <= p_fast <= 1.0 and 0.0 <= p_slow <= 1.0
-
-    def test_residence_probability_invalid_horizon(self):
-        with pytest.raises(ValueError):
-            residence_probability(CENTER, Vector(1.0, 0.0), CENTER, RADIUS, horizon=0.0)
 
 
 class TestElection:
@@ -133,15 +122,6 @@ class TestElection:
                 [ClusterHeadCandidate(1, 1.0, 1.0)], current_head=None, hysteresis=1.0
             )
 
-    def test_cluster_dataclass(self):
-        grid = VirtualCircleGrid(Area(100.0, 100.0), 2, 2)
-        cluster = Cluster(circle=grid.circle((0, 0)), head=4, members={4, 5})
-        assert cluster.coord == (0, 0)
-        assert cluster.has_head
-        assert cluster.size == 2
-        assert cluster.is_member(5)
-        assert cluster.member_list() == [4, 5]
-
 
 def build_service(positions, ch_capable=None, hysteresis=0.2):
     area = Area(1000.0, 1000.0)
@@ -166,7 +146,7 @@ class TestClusteringService:
             2: Point(600.0, 600.0),   # VC (2,2)
         }
         _, _, service = build_service(positions)
-        heads = service.cluster_heads()
+        heads = service.snapshot().heads
         assert set(heads.keys()) == {(0, 0), (2, 2)}
         assert heads[(2, 2)] == 2
         assert heads[(0, 0)] in (0, 1)
@@ -174,26 +154,27 @@ class TestClusteringService:
     def test_ch_incapable_nodes_never_elected(self):
         positions = {0: Point(100.0, 100.0), 1: Point(120.0, 130.0)}
         _, _, service = build_service(positions, ch_capable={1})
-        assert service.cluster_heads()[(0, 0)] == 1
-        assert not service.is_cluster_head(0)
-        assert service.is_cluster_head(1)
+        assert service.snapshot().heads == {(0, 0): 1}
+        assert service.head_of_node(0) == 1
+        assert service.head_of_node(1) == 1
 
     def test_empty_vc_has_no_head(self):
         positions = {0: Point(100.0, 100.0)}
         _, _, service = build_service(positions)
-        assert service.cluster_head((3, 3)) is None
+        assert service.clusters[(3, 3)].head is None
 
     def test_cluster_of_and_head_of_node(self):
         positions = {0: Point(100.0, 100.0), 1: Point(130.0, 100.0)}
         _, _, service = build_service(positions)
-        assert service.cluster_of(0) == (0, 0)
+        assert service.snapshot().node_home[0] == (0, 0)
         assert service.head_of_node(0) == service.head_of_node(1)
 
     def test_members_of(self):
         positions = {0: Point(100.0, 100.0), 1: Point(130.0, 100.0), 2: Point(900.0, 900.0)}
         _, _, service = build_service(positions)
-        assert service.members_of((0, 0)) == {0, 1}
-        assert service.members_of((3, 3)) == {2}
+        members = service.snapshot().members
+        assert members[(0, 0)] == {0, 1}
+        assert members[(3, 3)] == {2}
 
     def test_failed_node_excluded(self):
         positions = {0: Point(100.0, 100.0), 1: Point(130.0, 100.0)}
@@ -201,17 +182,15 @@ class TestClusteringService:
         head = service.head_of_node(0)
         network.nodes[head].fail()
         service.update()
-        new_head = service.cluster_head((0, 0))
+        new_head = service.clusters[(0, 0)].head
         assert new_head is not None and new_head != head
 
     def test_snapshot_contents(self):
         positions = {0: Point(100.0, 100.0), 2: Point(600.0, 600.0)}
         _, _, service = build_service(positions)
         snap = service.snapshot()
-        assert snap.head_of((0, 0)) == 0
-        assert snap.cluster_of(2) == (2, 2)
-        assert set(snap.cluster_head_ids()) == {0, 2}
-        assert snap.occupied_coords() == [(0, 0), (2, 2)]
+        assert snap.heads == {(0, 0): 0, (2, 2): 2}
+        assert snap.node_home == {0: (0, 0), 2: (2, 2)}
 
     def test_serving_head_uses_overlap(self):
         # node 1 sits alone (not CH-capable) in VC (1,0); the CH of VC (0,0)
@@ -229,9 +208,7 @@ class TestClusteringService:
         service.start()
         network.simulator.run(5.0)
         assert len(snapshots) == 5
-        service.stop()
-        network.simulator.run(5.0)
-        assert len(snapshots) == 5
+        assert [snap.time for snap in snapshots] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_start_twice_raises(self):
         positions = {0: Point(100.0, 100.0)}
@@ -249,8 +226,8 @@ class TestClusteringService:
     def test_stable_election_is_deterministic(self):
         positions = {0: Point(100.0, 100.0), 1: Point(140.0, 100.0)}
         _, _, service = build_service(positions)
-        first = service.cluster_head((0, 0))
+        first = service.clusters[(0, 0)].head
         for _ in range(5):
             service.update()
-        assert service.cluster_head((0, 0)) == first
+        assert service.clusters[(0, 0)].head == first
         assert service.head_changes == 0

@@ -41,7 +41,7 @@ class TestModelConstruction:
             assert len(cube) == 16
             assert cube.is_connected()
         assert len(model.mesh()) == 4
-        assert model.mesh().is_connected()
+        assert len(model.mesh().shortest_path((0, 0), (1, 1))) == 3
 
     def test_partial_backbone(self):
         space = make_space()
@@ -77,9 +77,9 @@ class TestModelConstruction:
         model = HVDBModel(space, snapshot_from_heads(heads))
         assert model.is_cluster_head(77)
         assert not model.is_cluster_head(1)
-        assert model.vc_of_ch(77) == (3, 4)
-        assert model.ch_of_vc((3, 4)) == 77
-        assert model.ch_of_vc((0, 0)) is None
+        address = model.address_of_ch(77)
+        assert address.vc_coord == (3, 4)
+        assert model.chid_at(address.hid, address.hnid) == 77
 
     def test_address_of_non_ch_raises(self):
         space = make_space()

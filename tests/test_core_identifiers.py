@@ -6,7 +6,7 @@ from repro.core.identifiers import LogicalAddressSpace
 from repro.geo.area import Area
 from repro.geo.geometry import Point
 from repro.geo.grid import VirtualCircleGrid
-from repro.hypercube.labels import bits_to_label, hamming_distance
+from repro.hypercube.labels import hamming_distance, label_to_bits
 
 
 @pytest.fixture
@@ -51,9 +51,8 @@ class TestFigure3Mapping:
         for row_idx, row in enumerate(expected_rows):
             for col_idx, bits in enumerate(row):
                 hnid = space_8x8_dim4.hnid_of((col_idx, row_idx))
-                assert hnid == bits_to_label(bits), (
-                    f"cell ({col_idx},{row_idx}) expected {bits}, got "
-                    f"{space_8x8_dim4.address_of_vc((col_idx, row_idx)).bits(4)}"
+                assert label_to_bits(hnid, 4) == bits, (
+                    f"cell ({col_idx},{row_idx}) expected {bits}, got {label_to_bits(hnid, 4)}"
                 )
 
     def test_hnid_unique_within_block(self, space_8x8_dim4):
@@ -100,11 +99,6 @@ class TestMeshMapping:
         with pytest.raises(ValueError):
             space_8x8_dim4.hid_of_mesh((2, 0))
 
-    def test_vcs_of_hid(self, space_8x8_dim4):
-        vcs = space_8x8_dim4.vcs_of_hid(0)
-        assert len(vcs) == 16
-        assert (0, 0) in vcs and (3, 3) in vcs and (4, 0) not in vcs
-
     def test_region_center(self, space_8x8_dim4):
         assert space_8x8_dim4.region_center(0) == Point(250.0, 250.0)
         assert space_8x8_dim4.region_center(3) == Point(750.0, 750.0)
@@ -112,7 +106,8 @@ class TestMeshMapping:
 
 class TestAddresses:
     def test_address_of_position(self, space_8x8_dim4):
-        address = space_8x8_dim4.address_of_position(Point(10.0, 10.0), chid=42)
+        space = space_8x8_dim4
+        address = space.address_of_vc(space.grid.coord_of(Point(10.0, 10.0)), chid=42)
         assert address.vc_coord == (0, 0)
         assert address.hid == 0
         assert address.hnid == 0
@@ -121,7 +116,7 @@ class TestAddresses:
 
     def test_address_bits(self, space_8x8_dim4):
         address = space_8x8_dim4.address_of_vc((2, 2))
-        assert address.bits(4) == "1100"
+        assert label_to_bits(address.hnid, 4) == "1100"
 
     def test_hnid_out_of_range_in_vc_of(self, space_8x8_dim4):
         with pytest.raises(ValueError):

@@ -19,8 +19,6 @@ class TestLocalMembership:
         lm.join(2)
         lm.leave(1)
         assert lm.groups == {2}
-        assert lm.is_member(2)
-        assert not lm.is_member(1)
 
     def test_leave_nonmember_noop(self):
         lm = LocalMembership(5, {1})
@@ -48,8 +46,6 @@ class TestMNTSummary:
         assert summary.counts == {10: 2, 20: 1}
         assert summary.groups() == {10, 20}
         assert summary.member_total() == 3
-        assert summary.has_members(10)
-        assert not summary.has_members(99)
 
     def test_empty_reports(self):
         summary = MNTSummary.from_local_reports(99, 5, 1, [])
@@ -83,31 +79,11 @@ class TestHTSummary:
         assert ht.hnids_for(20) == {3}
         assert ht.hnids_for(30) == set()
         assert ht.groups() == {10, 20}
-        assert ht.has_group(10)
-        assert not ht.has_group(30)
 
     def test_zero_count_groups_excluded(self):
         summaries = [MNTSummary(1, hnid=0, hid=0, counts={10: 0})]
         ht = HTSummary.from_mnt_summaries(0, summaries)
         assert ht.groups() == set()
-
-    def test_merge_union(self):
-        a = HTSummary(0, {1: {0, 2}})
-        b = HTSummary(0, {1: {3}, 2: {5}})
-        merged = a.merge(b)
-        assert merged.hnids_for(1) == {0, 2, 3}
-        assert merged.hnids_for(2) == {5}
-        # merge does not mutate the operands
-        assert a.hnids_for(1) == {0, 2}
-
-    def test_merge_is_idempotent(self):
-        a = HTSummary(0, {1: {0, 2}})
-        merged = a.merge(a)
-        assert merged.members_by_group == a.members_by_group
-
-    def test_merge_different_hids_rejected(self):
-        with pytest.raises(ValueError):
-            HTSummary(0).merge(HTSummary(1))
 
     def test_payload_roundtrip(self):
         ht = HTSummary(2, {7: {1, 3}, 9: {0}})
@@ -129,7 +105,6 @@ class TestMTSummary:
         mt.update_from_ht(HTSummary(1, {1: {5}, 2: {7}}), mesh_coord=(1, 0))
         assert mt.mesh_nodes_for(1) == {(0, 0), (1, 0)}
         assert mt.mesh_nodes_for(2) == {(1, 0)}
-        assert mt.groups() == {1, 2}
 
     def test_update_replaces_stale_entry(self):
         mt = MTSummary()
@@ -138,7 +113,7 @@ class TestMTSummary:
         mt.update_from_ht(HTSummary(0, {2: {3}}), mesh_coord=(0, 0))
         assert mt.mesh_nodes_for(1) == set()
         assert mt.mesh_nodes_for(2) == {(0, 0)}
-        assert mt.groups() == {2}
+        assert list(mt.members_by_group) == [2]
 
     def test_update_keeps_other_mesh_nodes(self):
         mt = MTSummary()
@@ -146,12 +121,6 @@ class TestMTSummary:
         mt.update_from_ht(HTSummary(1, {1: {2}}), mesh_coord=(1, 0))
         mt.update_from_ht(HTSummary(0, {}), mesh_coord=(0, 0))
         assert mt.mesh_nodes_for(1) == {(1, 0)}
-
-    def test_serialized_size(self):
-        mt = MTSummary()
-        empty_size = mt.serialized_size()
-        mt.update_from_ht(HTSummary(0, {1: {0}, 2: {1}}), mesh_coord=(0, 0))
-        assert mt.serialized_size() > empty_size
 
 
 class TestDesignatedBroadcaster:

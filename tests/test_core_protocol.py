@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.membership import BroadcasterCriterion
 from repro.core.protocol import HVDB_PROTOCOL, HVDBParameters, HVDBProtocolAgent, HVDBStack
-from repro.core.qos import QoSRequirement
 from repro.geo.area import Area
 from repro.geo.geometry import Point
 from repro.mobility.static import StaticMobility
@@ -78,11 +77,6 @@ class TestStackConstruction:
         network.simulator.run(6.0)
         assert stack.model_rebuilds >= 2
 
-    def test_qos_requirement_registration(self):
-        network, stack = build_hvdb_network(dense_grid_positions())
-        stack.set_qos_requirement(1, QoSRequirement(max_delay=0.2))
-        assert 1 in stack.qos_requirements
-
 
 class TestMembershipPropagation:
     def test_local_membership_reaches_cluster_head(self):
@@ -116,7 +110,7 @@ class TestMembershipPropagation:
         ]
         assert peers
         knowing = [
-            agent for agent in peers if agent._local_ht_summary(member_address.hid).has_group(3)
+            agent for agent in peers if 3 in agent._local_ht_summary(member_address.hid).groups()
         ]
         assert knowing
 
@@ -139,19 +133,23 @@ class TestMembershipPropagation:
         assert aware, "HT-Summary broadcast should have reached remote cluster heads"
 
 
+def all_routes(table):
+    return [route for routes in table._routes.values() for route in routes]
+
+
 class TestRouteMaintenance:
     def test_route_tables_populated_with_local_logical_routes(self):
         network, stack = build_hvdb_network(dense_grid_positions())
         stack.start()
         network.simulator.run(20.0)
         ch_agents = [a for ch, a in stack.agents.items() if stack.model.is_cluster_head(ch)]
-        populated = [a for a in ch_agents if a.route_table is not None and a.route_table.route_count() > 0]
+        populated = [a for a in ch_agents if a.route_table is not None and all_routes(a.route_table)]
         assert len(populated) >= len(ch_agents) // 2
         # at least one CH knows a multi-hop logical route
         multi_hop = [
             a
             for a in populated
-            if any(r.logical_hops >= 2 for r in a.route_table.all_routes())
+            if any(r.logical_hops >= 2 for r in all_routes(a.route_table))
         ]
         assert multi_hop
 
@@ -162,7 +160,7 @@ class TestRouteMaintenance:
         for agent in stack.agents.values():
             if agent.route_table is None:
                 continue
-            for route in agent.route_table.all_routes():
+            for route in all_routes(agent.route_table):
                 assert route.qos.delay > 0.0
                 assert route.qos.bandwidth > 0.0
 

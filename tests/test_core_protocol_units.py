@@ -181,7 +181,10 @@ class TestRouteBeacons:
         agent.on_packet(
             _route_beacon(peer, 0, peer_address.hnid, peer_address.hid), from_node=peer
         )
-        assert agent.route_table.neighbor_hnids() == [peer_address.hnid]
+        own_hnid = stack.model.address_of_ch(0).hnid
+        assert [r.path for r in agent.route_table.routes_to(peer_address.hnid)] == [
+            (own_hnid, peer_address.hnid)
+        ]
 
     def test_stale_beacon_carrying_the_receivers_own_hnid_is_dropped(self):
         # a beacon sent just before a model rebuild can reach the node
@@ -192,7 +195,7 @@ class TestRouteBeacons:
         own = stack.model.address_of_ch(0)
         peer = stack.model.logical_neighbors_of_ch(0)[0]
         agent.on_packet(_route_beacon(peer, 0, own.hnid, own.hid), from_node=peer)
-        assert agent._ensure_route_table().neighbor_hnids() == []
+        assert agent._ensure_route_table().advertisement() == []
 
 
 class TestParameters:

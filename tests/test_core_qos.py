@@ -4,9 +4,6 @@ import pytest
 
 from repro.core.qos import (
     QoSRequirement,
-    QoSViolation,
-    RouteQoS,
-    admission_control,
     qos_satisfaction_ratio,
     route_satisfies,
     select_qos_route,
@@ -38,14 +35,6 @@ class TestQoSRequirement:
             QoSRequirement(max_delay=0.0)
         with pytest.raises(ValueError):
             QoSRequirement(min_bandwidth=-1.0)
-
-    def test_route_qos_satisfies(self):
-        assert RouteQoS(delay=0.05, bandwidth=2e6).satisfies(
-            QoSRequirement(max_delay=0.1, min_bandwidth=1e6)
-        )
-        assert not RouteQoS(delay=0.05, bandwidth=0.5e6).satisfies(
-            QoSRequirement(max_delay=0.1, min_bandwidth=1e6)
-        )
 
 
 class TestRouteSelection:
@@ -82,18 +71,6 @@ class TestRouteSelection:
 
     def test_select_empty_routes(self):
         assert select_qos_route([], QoSRequirement()) is None
-
-
-class TestAdmission:
-    def test_admission_returns_route(self):
-        req = QoSRequirement(max_delay=0.1)
-        admitted = admission_control([route([0, 1], 0.05)], req)
-        assert admitted.path == (0, 1)
-
-    def test_admission_raises_when_unsatisfiable(self):
-        req = QoSRequirement(max_delay=0.01, min_bandwidth=1e9)
-        with pytest.raises(QoSViolation):
-            admission_control([route([0, 1], 0.05)], req)
 
 
 class TestSatisfactionRatio:

@@ -31,23 +31,14 @@ class TestLinkQoS:
 class TestLogicalRoute:
     def test_destination_and_hops(self):
         route = LogicalRoute(path=(0, 1, 3), qos=qos())
-        assert route.destination == 3
         assert route.logical_hops == 2
-
-    def test_extended(self):
-        route = LogicalRoute(path=(0, 1), qos=qos(0.01, 2e6))
-        longer = route.extended(3, qos(0.02, 1e6))
-        assert longer.path == (0, 1, 3)
-        assert longer.qos.delay == pytest.approx(0.03)
-        assert longer.qos.bandwidth == pytest.approx(1e6)
 
 
 class TestRouteTable:
     def test_direct_neighbor_creates_one_hop_route(self):
         table = LogicalRouteTable(own_hnid=0)
         table.update_neighbor(1, qos())
-        best = table.best_route(1)
-        assert best is not None
+        best = table.routes_to(1)[0]
         assert best.path == (0, 1)
         assert best.logical_hops == 1
 
@@ -64,7 +55,7 @@ class TestRouteTable:
         advertised = [LogicalRoute(path=(0b1100, 0b1101), qos=qos(0.02))]
         accepted = table.integrate_advertisement(0b1100, advertised, now=0.0)
         assert accepted == 1
-        route = table.best_route(0b1101)
+        route = table.routes_to(0b1101)[0]
         assert route.path == (0b1000, 0b1100, 0b1101)
         assert route.logical_hops == 2
         assert route.qos.delay == pytest.approx(0.03)
@@ -75,7 +66,7 @@ class TestRouteTable:
             1, [LogicalRoute(path=(1, 3), qos=qos())], now=0.0
         )
         assert accepted == 0
-        assert table.destinations() == []
+        assert table.advertisement() == []
 
     def test_looping_routes_rejected(self):
         table = LogicalRouteTable(own_hnid=0)
@@ -119,23 +110,11 @@ class TestRouteTable:
         assert len(routes) == 1
         assert routes[0].qos.delay == pytest.approx(0.05)
 
-    def test_remove_neighbor_drops_dependent_routes(self):
-        table = LogicalRouteTable(own_hnid=0)
-        table.update_neighbor(1, qos())
-        table.update_neighbor(2, qos())
-        table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos())], now=0.0)
-        table.integrate_advertisement(2, [LogicalRoute(path=(2, 3), qos=qos())], now=0.0)
-        table.remove_neighbor(1)
-        assert table.neighbor_hnids() == [2]
-        remaining = table.routes_to(3)
-        assert all(r.path[1] == 2 for r in remaining)
-        assert table.best_route(1) is None
-
     def test_prune_expired(self):
         table = LogicalRouteTable(own_hnid=0, expiry=5.0)
         table.update_neighbor(1, qos(at=0.0))
         assert table.prune_expired(now=10.0) == 1
-        assert table.best_route(1) is None
+        assert table.routes_to(1) == []
 
     def test_advertisement_one_route_per_destination(self):
         table = LogicalRouteTable(own_hnid=0, routes_per_destination=3)
@@ -144,24 +123,9 @@ class TestRouteTable:
         table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos())], now=0.0)
         table.integrate_advertisement(2, [LogicalRoute(path=(2, 3), qos=qos())], now=0.0)
         adv = table.advertisement()
-        destinations = [r.destination for r in adv]
+        destinations = [r.path[-1] for r in adv]
         assert len(destinations) == len(set(destinations))
         assert set(destinations) == {1, 2, 3}
-
-    def test_next_hop_chid(self):
-        table = LogicalRouteTable(own_hnid=0)
-        table.update_neighbor(1, qos())
-        table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos())], now=0.0)
-        chid_lookup = {1: 101, 3: 103}
-        assert table.next_hop_chid(3, chid_lookup) == 101
-        assert table.next_hop_chid(9, chid_lookup) is None
-
-    def test_route_count_and_all_routes(self):
-        table = LogicalRouteTable(own_hnid=0)
-        table.update_neighbor(1, qos())
-        table.update_neighbor(2, qos())
-        assert table.route_count() == 2
-        assert len(table.all_routes()) == 2
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -190,17 +154,6 @@ class ReferenceRouteTable:
         direct = LogicalRoute(path=(self.own_hnid, neighbor_hnid), qos=qos)
         self._insert(direct)
 
-    def remove_neighbor(self, neighbor_hnid):
-        self._neighbor_qos.pop(neighbor_hnid, None)
-        for dest in list(self._routes.keys()):
-            kept = [
-                r for r in self._routes[dest] if len(r.path) < 2 or r.path[1] != neighbor_hnid
-            ]
-            if kept:
-                self._routes[dest] = kept
-            else:
-                del self._routes[dest]
-
     def integrate_advertisement(self, neighbor_hnid, advertised, now):
         link = self._neighbor_qos.get(neighbor_hnid)
         if link is None:
@@ -224,7 +177,7 @@ class ReferenceRouteTable:
         return accepted
 
     def _insert(self, route):
-        dest = route.destination
+        dest = route.path[-1]
         if dest == self.own_hnid:
             return False
         existing = self._routes.setdefault(dest, [])
@@ -274,7 +227,6 @@ _OPERATIONS = st.one_of(
             max_size=6,
         ),
     ),
-    st.tuples(st.just("remove"), _HNIDS),
     st.tuples(st.just("prune")),
 )
 
@@ -353,9 +305,6 @@ class TestRouteTableMatchesReference:
                 ]
                 args = (neighbor, advertised, now)
                 name = "integrate_advertisement"
-            elif kind == "remove":
-                args = (operation[1],)
-                name = "remove_neighbor"
             else:
                 args = (now,)
                 name = "prune_expired"

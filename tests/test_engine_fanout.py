@@ -3,10 +3,10 @@
 ``Simulator.schedule(..., each=[...])`` makes several same-time calls from
 one heap entry.  The contract is that nothing observable changes: the
 calls interleave with every other event, ``now`` and ``processed_events``
-read the same inside each call, ``stop``/``cancel``/``drain(max_events)``
-act call by call.  :class:`ReferenceSimulator` is the engine as it was
-before fan-outs existed, kept verbatim, and every schedule here is run on
-both: a fan-out on the reference becomes one ``schedule`` per call.
+read the same inside each call, and ``cancel`` acts call by call.
+:class:`ReferenceSimulator` is the engine as it was before fan-outs
+existed, kept verbatim, and every schedule here is run on both: a fan-out
+on the reference becomes one ``schedule`` per call.
 """
 
 from __future__ import annotations
@@ -69,23 +69,6 @@ class ReferenceSimulator:
         self._now = max(self._now, end_time)
         self._running = False
 
-    def stop(self) -> None:
-        self._running = False
-
-    def drain(self, max_events: Optional[int] = None) -> int:
-        executed = 0
-        while self._heap:
-            if max_events is not None and executed >= max_events:
-                break
-            event = heapq.heappop(self._heap)[3]
-            if event.cancelled:
-                continue
-            self._now = max(self._now, event.time)
-            event.callback()
-            executed += 1
-            self._processed += 1
-        return executed
-
 
 #: calls after which callbacks stop acting, so zero-delay chains end
 _CALL_BUDGET = 200
@@ -96,7 +79,6 @@ _ACTION = st.one_of(
     st.just(("none",)),
     st.tuples(st.just("event"), _DELAY, _PRIORITY),
     st.tuples(st.just("fan_out"), _DELAY, _PRIORITY, st.integers(min_value=1, max_value=8)),
-    st.just(("stop",)),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=20)),
 )
 _INITIAL = st.lists(
@@ -108,13 +90,10 @@ _INITIAL = st.lists(
     min_size=1,
     max_size=12,
 )
-_STEPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("run_until"), st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0])),
-        st.tuples(st.just("drain"), st.integers(min_value=0, max_value=6)),
-    ),
-    max_size=8,
-)
+_STEPS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), max_size=8)
+#: past every event a script can schedule: each call delays by at most 1 s
+#: and only the first _CALL_BUDGET calls schedule anything
+_FLUSH = 1000.0
 
 
 class Harness:
@@ -144,8 +123,6 @@ class Harness:
             self.schedule(action[1], action[2], None)
         elif kind == "fan_out":
             self.schedule(action[1], action[2], action[3])
-        elif kind == "stop":
-            self.sim.stop()
         elif kind == "cancel" and self.handles:
             for handle in self.handles[action[1] % len(self.handles)]:
                 handle.cancel()
@@ -165,19 +142,13 @@ class Harness:
             ])
 
     def play(self, initial, steps) -> List[tuple]:
-        """Schedule ``initial``, run ``steps``, then drain; returns the outcomes."""
+        """Schedule ``initial``, run ``steps``, then flush; returns the outcomes."""
         for delay, priority, calls in initial:
             self.schedule(delay, priority, calls)
         outcomes = []
-        for kind, arg in steps:
-            if kind == "run_until":
-                self.sim.run_until(self.sim.now + arg)
-                outcomes.append(("run_until", self.sim.now, self.sim.processed_events))
-            else:
-                executed = self.sim.drain(arg)
-                outcomes.append(("drain", executed, self.sim.now, self.sim.processed_events))
-        executed = self.sim.drain()
-        outcomes.append(("drain", executed, self.sim.now, self.sim.processed_events))
+        for step in steps + [_FLUSH]:
+            self.sim.run_until(self.sim.now + step)
+            outcomes.append((self.sim.now, self.sim.processed_events))
         return outcomes
 
 
@@ -217,24 +188,6 @@ class TestFanOutMatchesOneEntryPerCall:
         assert order == [0, 1, "tick", 2, 3, "later"]
         assert sim.processed_events == 6
 
-    def test_stop_mid_fan_out_resumes_with_the_next_call(self):
-        sim = Simulator()
-        order = []
-
-        def deliver(receiver):
-            order.append((receiver, sim.processed_events))
-            if receiver == 1:
-                sim.stop()
-
-        sim.schedule(1.0, deliver, each=[(0,), (1,), (2,)])
-        sim.run_until(2.0)
-        assert order == [(0, 0), (1, 1)]
-        assert sim.processed_events == 2
-        assert sim.pending_events == 1   # the fan-out's last call: one entry
-        sim.run_until(3.0)
-        assert order == [(0, 0), (1, 1), (2, 2)]
-        assert sim.processed_events == 3
-
     def test_cancel_drops_the_calls_not_made_yet(self):
         sim = Simulator()
         order = []
@@ -250,17 +203,6 @@ class TestFanOutMatchesOneEntryPerCall:
         assert order == [0, 1]
         assert sim.processed_events == 2
 
-    def test_drain_counts_calls(self):
-        sim = Simulator()
-        order = []
-        sim.schedule(1.0, order.append, each=[(0,), (1,), (2,)])
-        assert sim.pending_events == 1
-        assert sim.drain(2) == 2
-        assert order == [0, 1]
-        assert sim.drain() == 1
-        assert order == [0, 1, 2]
-        assert sim.processed_events == 3
-
     def test_an_empty_fan_out_is_rejected(self):
         with pytest.raises(ValueError):
             Simulator().schedule(1.0, print, each=[])
@@ -271,7 +213,7 @@ class Payload:
 
 
 class TestFanOutNeedsNoCycleCollector:
-    """A spent or cancelled fan-out is freed by reference counting alone."""
+    """A spent fan-out is freed by reference counting alone."""
 
     def _run_with_gc_disabled(self, body) -> None:
         was_enabled = gc.isenabled()
@@ -296,26 +238,23 @@ class TestFanOutNeedsNoCycleCollector:
 
         self._run_with_gc_disabled(body)
 
-    def test_resumed_and_cancelled_fan_outs_free_their_items(self):
+    def test_resumed_fan_out_frees_its_items(self):
         def body():
             sim = Simulator()
             resumed = [Payload() for _ in range(3)]
-            cancelled = [Payload() for _ in range(3)]
-            refs = [weakref.ref(p) for p in resumed + cancelled]
+            refs = [weakref.ref(p) for p in resumed]
             calls = []
 
             def deliver(payload):
                 calls.append(1)
                 if len(calls) == 1:
-                    sim.stop()
+                    # sorts before the rest of the fan-out, which re-queues itself
+                    sim.schedule(0.0, lambda: calls.append(0), priority=-10)
 
             sim.schedule(1.0, deliver, each=[(p,) for p in resumed])
-            handle = sim.schedule(1.5, deliver, each=[(p,) for p in cancelled])
-            handle.cancel()
-            del handle, resumed[:], cancelled[:]
-            sim.run_until(2.0)    # stops after the first call, re-queues the rest
-            sim.run_until(3.0)
-            assert len(calls) == 3
-            assert [r() for r in refs] == [None] * 6
+            del resumed[:]
+            sim.run_until(2.0)
+            assert calls == [1, 0, 1, 1]
+            assert [r() for r in refs] == [None] * 3
 
         self._run_with_gc_disabled(body)

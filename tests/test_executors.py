@@ -24,9 +24,9 @@ from repro.experiments.orchestrator import (
     SweepSpec,
     expand_spec,
     export_csv,
-    load_cached_results,
     register_collector,
     run_sweep,
+    sweep,
 )
 from repro.experiments.scenarios import ScenarioConfig
 from repro.experiments.stores import JsonStore
@@ -117,7 +117,7 @@ class TestSharedCacheKeys:
         cache_dir = str(tmp_path / "cache")
         cold = run_sweep(spec, workers=2, cache_dir=cache_dir, executor=backend)
         warm = run_sweep(spec, workers=2, cache_dir=cache_dir, executor=backend)
-        loaded, missing = load_cached_results(spec, cache_dir)
+        loaded, _, missing = sweep(spec, cache_dir=cache_dir, cache_only=True)
         assert missing == []
         assert not any(r.from_cache for r in cold)
         assert all(r.from_cache for r in warm + loaded)

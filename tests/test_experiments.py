@@ -7,7 +7,7 @@ import pytest
 from repro.baselines.flooding import FLOODING_PROTOCOL, FloodingStack
 from repro.core.protocol import HVDB_PROTOCOL, HVDBConfig, HVDBStack
 from repro.experiments.orchestrator import SweepSpec, expand_spec
-from repro.experiments.runner import results_table, run_scenario
+from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import PROTOCOLS, ScenarioConfig, build_scenario
 from repro.simulation.stack import ProtocolStack
 
@@ -62,8 +62,8 @@ class TestScenarioBuilding:
 
     def test_groups_created_with_requested_size(self):
         scenario = build_scenario(tiny_config(n_groups=2, group_size=4))
-        assert len(scenario.groups.members(1)) == 4
-        assert len(scenario.groups.members(2)) == 4
+        assert len(scenario.groups.groups[1]) == 4
+        assert len(scenario.groups.groups[2]) == 4
 
     def test_static_when_speed_zero(self):
         scenario = build_scenario(tiny_config(max_speed=0.0))
@@ -106,12 +106,6 @@ class TestRunner:
         )
         assert seen == [30]
 
-    def test_row_includes_extras(self):
-        result = run_scenario(tiny_config(protocol=FLOODING_PROTOCOL), duration=30.0)
-        row = result.row(swept_value=42)
-        assert row["swept_value"] == 42
-        assert row["protocol"] == FLOODING_PROTOCOL
-
 
 def run_grid(axis, values, duration):
     """Run one flooding scenario per value of ``axis``, in-process."""
@@ -134,10 +128,3 @@ class TestSweep:
         assert results[0].config.max_speed == 0.0
         assert results[0].config.n_nodes == 25
         assert results[0].report.node_count == 25
-
-    def test_results_table_contains_swept_column(self):
-        results = run_grid("n_nodes", [20], duration=20.0)
-        table = results_table(results, swept="n_nodes", title="demo")
-        assert "demo" in table
-        assert "n_nodes" in table
-        assert "20" in table

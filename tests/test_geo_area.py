@@ -15,11 +15,6 @@ class TestAreaBasics:
         with pytest.raises(ValueError):
             Area(100.0, -5.0)
 
-    def test_center_and_diagonal(self):
-        area = Area(300.0, 400.0)
-        assert area.center == Point(150.0, 200.0)
-        assert area.diagonal == pytest.approx(500.0)
-
     def test_contains(self):
         area = Area(100.0, 100.0)
         assert area.contains(Point(0.0, 0.0))

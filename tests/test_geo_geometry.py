@@ -1,15 +1,8 @@
 """Unit tests for repro.geo.geometry."""
 
-import math
-
 import pytest
 
-from repro.geo.geometry import (
-    Point,
-    Vector,
-    distance,
-    heading_to_vector,
-)
+from repro.geo.geometry import Point, Vector, distance
 
 
 class TestPoint:
@@ -26,7 +19,6 @@ class TestPoint:
     def test_iter_and_tuple(self):
         p = Point(2.5, -1.5)
         assert tuple(p) == (2.5, -1.5)
-        assert p.as_tuple() == (2.5, -1.5)
 
     def test_immutability(self):
         p = Point(1.0, 2.0)
@@ -37,10 +29,6 @@ class TestPoint:
 class TestVector:
     def test_magnitude(self):
         assert Vector(3.0, 4.0).magnitude == pytest.approx(5.0)
-
-    def test_heading(self):
-        assert Vector(0.0, 1.0).heading == pytest.approx(math.pi / 2)
-        assert Vector(-1.0, 0.0).heading == pytest.approx(math.pi)
 
     def test_scaled(self):
         v = Vector(1.0, -2.0).scaled(3.0)
@@ -61,18 +49,7 @@ class TestVector:
         assert a - b == Vector(-2.0, 3.0)
         assert -a == Vector(-1.0, -2.0)
 
-    def test_dot(self):
-        assert Vector(1.0, 2.0).dot(Vector(3.0, 4.0)) == pytest.approx(11.0)
-
 
 class TestFunctions:
     def test_distance(self):
         assert distance(Point(1.0, 2.0), Point(4.0, 6.0)) == 5.0
-
-    def test_heading_to_vector(self):
-        v = heading_to_vector(0.0, 2.0)
-        assert v.dx == pytest.approx(2.0)
-        assert v.dy == pytest.approx(0.0)
-        v = heading_to_vector(math.pi / 2, 3.0)
-        assert v.dx == pytest.approx(0.0, abs=1e-12)
-        assert v.dy == pytest.approx(3.0)

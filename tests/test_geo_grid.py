@@ -13,7 +13,7 @@ class TestGridConstruction:
     def test_figure2_grid_has_64_circles(self, small_area):
         grid = VirtualCircleGrid(small_area, 8, 8)
         assert len(grid) == 64
-        assert len(grid.circles()) == 64
+        assert len(list(grid)) == 64
 
     def test_invalid_dimensions(self, small_area):
         with pytest.raises(ValueError):
@@ -47,7 +47,7 @@ class TestLookup:
 
     def test_home_circle_contains_point(self, grid_8x8):
         p = Point(312.0, 440.0)
-        assert grid_8x8.home_circle(p).contains(p)
+        assert grid_8x8.coord_of(p) in grid_8x8.covering_coords(p)
 
     def test_every_point_covered_by_home_circle(self, grid_8x8):
         # sample a lattice of points; full coverage is the invariant that
@@ -55,7 +55,7 @@ class TestLookup:
         for ix in range(0, 1001, 125):
             for iy in range(0, 1001, 125):
                 p = Point(float(min(ix, 1000)), float(min(iy, 1000)))
-                assert grid_8x8.home_circle(p).contains(p)
+                assert grid_8x8.coord_of(p) in grid_8x8.covering_coords(p)
 
     def test_covering_coords_includes_home(self, grid_8x8):
         p = Point(437.0, 562.0)
@@ -68,28 +68,8 @@ class TestLookup:
         assert len(grid_8x8.covering_coords(boundary_point)) >= 2
 
     def test_circle_center_far_point_not_contained(self, grid_8x8):
-        circle = grid_8x8.circle((0, 0))
+        circle = next(c for c in grid_8x8 if c.coord == (0, 0))
         assert not circle.contains(Point(900.0, 900.0))
-
-
-class TestNeighbors:
-    def test_interior_four_neighbors(self, grid_8x8):
-        assert sorted(grid_8x8.neighbors((3, 3))) == [(2, 3), (3, 2), (3, 4), (4, 3)]
-
-    def test_corner_two_neighbors(self, grid_8x8):
-        assert sorted(grid_8x8.neighbors((0, 0))) == [(0, 1), (1, 0)]
-
-    def test_diagonal_neighbors(self, grid_8x8):
-        assert len(grid_8x8.neighbors((3, 3), diagonal=True)) == 8
-        assert len(grid_8x8.neighbors((0, 0), diagonal=True)) == 3
-
-    def test_neighbors_outside_raises(self, grid_8x8):
-        with pytest.raises(KeyError):
-            grid_8x8.neighbors((8, 0))
-
-    def test_manhattan(self, grid_8x8):
-        assert grid_8x8.manhattan((0, 0), (3, 4)) == 7
-        assert grid_8x8.manhattan((5, 5), (5, 5)) == 0
 
 
 class TestSpatialHash:

@@ -1,64 +1,8 @@
 """Unit tests for hypercube-tier multicast trees."""
 
-import pytest
-
-from repro.hypercube.labels import hamming_distance
-from repro.hypercube.multicast_tree import (
-    MulticastTree,
-    binomial_multicast_tree,
-    greedy_multicast_tree,
-)
+from repro.hypercube.multicast_tree import MulticastTree, greedy_multicast_tree
 from repro.hypercube.topology import IncompleteHypercube
-
-
-class TestBinomialTree:
-    def test_covers_all_members(self):
-        members = [1, 3, 7, 12, 15]
-        tree = binomial_multicast_tree(4, 0, members)
-        assert tree.covers(members)
-        assert tree.is_valid_tree()
-
-    def test_edges_are_hypercube_links(self):
-        tree = binomial_multicast_tree(4, 0, range(16))
-        for parent, child in tree.edges():
-            assert hamming_distance(parent, child) == 1
-
-    def test_broadcast_tree_spans_whole_cube(self):
-        tree = binomial_multicast_tree(4, 5, range(16))
-        assert tree.nodes() == set(range(16))
-        assert tree.total_edges() == 15
-
-    def test_depth_bounded_by_dimension(self):
-        tree = binomial_multicast_tree(5, 0, range(32))
-        assert tree.depth() <= 5
-
-    def test_fanout_bounded_by_dimension(self):
-        tree = binomial_multicast_tree(4, 0, range(16))
-        assert max(tree.forwarding_load().values()) <= 4
-
-    def test_empty_member_set(self):
-        tree = binomial_multicast_tree(3, 2, [])
-        assert tree.nodes() == {2}
-        assert tree.total_edges() == 0
-
-    def test_root_only_member(self):
-        tree = binomial_multicast_tree(3, 2, [2])
-        assert tree.nodes() == {2}
-
-    def test_invalid_member(self):
-        with pytest.raises(ValueError):
-            binomial_multicast_tree(3, 0, [9])
-
-    def test_invalid_root(self):
-        with pytest.raises(ValueError):
-            binomial_multicast_tree(3, 8, [1])
-
-    def test_single_parent_invariant(self):
-        tree = binomial_multicast_tree(5, 7, [0, 1, 2, 3, 30, 31, 17, 21])
-        parents = {}
-        for parent, child in tree.edges():
-            assert child not in parents
-            parents[child] = parent
+from tests.conftest import is_valid_tree, tree_edges, tree_nodes
 
 
 class TestGreedyTree:
@@ -66,16 +10,16 @@ class TestGreedyTree:
         cube = IncompleteHypercube(4)
         members = [3, 5, 12, 15]
         tree = greedy_multicast_tree(cube, 0, members)
-        assert tree.covers(members)
+        assert set(members) <= tree_nodes(tree)
         assert tree.members == set(members)
-        assert tree.is_valid_tree()
+        assert is_valid_tree(tree)
 
     def test_edges_exist_in_cube(self):
         cube = IncompleteHypercube(4)
         cube.remove_node(1)
         cube.remove_node(2)
         tree = greedy_multicast_tree(cube, 0, [7, 15])
-        for parent, child in tree.edges():
+        for parent, child in tree_edges(tree):
             assert cube.has_edge(parent, child)
 
     def test_unreachable_members_skipped(self):
@@ -84,7 +28,7 @@ class TestGreedyTree:
             cube.remove_node(nb)  # isolate node 0
         tree = greedy_multicast_tree(cube, 0, [7])
         assert 7 not in tree.members
-        assert tree.nodes() == {0}
+        assert tree_nodes(tree) == {0}
 
     def test_absent_members_skipped(self):
         cube = IncompleteHypercube(3, present_nodes=[0, 1, 3])
@@ -104,7 +48,7 @@ class TestGreedyTree:
 
 class TestTreeStructure:
     def test_serialize_roundtrip(self):
-        tree = binomial_multicast_tree(4, 0, [1, 6, 9, 15])
+        tree = greedy_multicast_tree(IncompleteHypercube(4), 0, [1, 6, 9, 15])
         data = tree.serialize()
         restored = MulticastTree.deserialize(data)
         assert restored.root == tree.root
@@ -115,22 +59,14 @@ class TestTreeStructure:
 
     def test_parent_of_and_children_of(self):
         tree = MulticastTree(root=0, children={0: [1, 2], 2: [6]}, members={1, 6})
-        assert tree.parent_of(6) == 2
-        assert tree.parent_of(0) is None
         assert tree.children_of(0) == [1, 2]
+        assert tree.children_of(2) == [6]
         assert tree.children_of(5) == []
 
     def test_invalid_tree_detected_multiple_parents(self):
         tree = MulticastTree(root=0, children={0: [1], 2: [1]}, members={1})
-        assert not tree.is_valid_tree()
+        assert not is_valid_tree(tree)
 
     def test_invalid_tree_detected_root_with_parent(self):
         tree = MulticastTree(root=0, children={1: [0]}, members=set())
-        assert not tree.is_valid_tree()
-
-    def test_forwarding_load_counts_children(self):
-        tree = MulticastTree(root=0, children={0: [1, 2, 4], 4: [5]}, members={1, 2, 5})
-        load = tree.forwarding_load()
-        assert load[0] == 3
-        assert load[4] == 1
-        assert load[1] == 0
+        assert not is_valid_tree(tree)

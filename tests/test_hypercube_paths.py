@@ -3,14 +3,9 @@
 import pytest
 
 from repro.hypercube.labels import hamming_distance
-from repro.hypercube.paths import (
-    are_node_disjoint,
-    max_disjoint_path_count,
-    node_disjoint_paths,
-    survives_failures,
-)
-from repro.hypercube.routing import path_is_valid
+from repro.hypercube.paths import node_disjoint_paths
 from repro.hypercube.topology import Hypercube, IncompleteHypercube
+from tests.conftest import are_node_disjoint, path_is_valid
 
 
 class TestCompleteCubePaths:
@@ -87,28 +82,33 @@ class TestIncompleteCubePaths:
             assert path_is_valid(cube, path)
 
     def test_max_disjoint_path_count(self):
-        assert max_disjoint_path_count(Hypercube(4), 0, 15) == 4
+        assert len(node_disjoint_paths(Hypercube(4), 0, 15)) == 4
         cube = IncompleteHypercube(4)
         cube.remove_node(1)
-        assert max_disjoint_path_count(cube, 0, 15) == 3
+        assert len(node_disjoint_paths(cube, 0, 15)) == 3
+
+
+def _survives(dimension, source, destination, failed):
+    """Remove ``failed`` and test reachability, as E1 measures it."""
+    cube = IncompleteHypercube(dimension)
+    for label in failed:
+        cube.remove_node(label)
+    return source in cube and destination in cube.reachable_from(source)
 
 
 class TestSurvivability:
     def test_survives_up_to_n_minus_1_failures(self):
         # paper Section 2.1: the n-cube sustains up to n-1 node failures
-        cube = Hypercube(4)
-        assert survives_failures(cube, 0, 15, failed=[1, 2, 4])
+        assert _survives(4, 0, 15, failed=[1, 2, 4])
 
     def test_endpoint_failure_not_survivable(self):
-        cube = Hypercube(3)
-        assert not survives_failures(cube, 0, 7, failed=[7])
+        assert not _survives(3, 0, 7, failed=[7])
 
     def test_partition_detected(self):
-        cube = IncompleteHypercube(3)
-        assert not survives_failures(cube, 0, 7, failed=[1, 2, 4])
+        assert not _survives(3, 0, 7, failed=[1, 2, 4])
 
     def test_no_failures_trivially_survives(self):
-        assert survives_failures(Hypercube(3), 0, 7, failed=[])
+        assert _survives(3, 0, 7, failed=[])
 
 
 class TestDisjointnessChecker:

@@ -1,44 +1,10 @@
-"""Unit tests for hypercube routing (e-cube, shortest path, fault-tolerant)."""
+"""Unit tests for shortest-path routing on incomplete hypercubes."""
 
 import pytest
 
-from repro.hypercube.labels import hamming_distance
-from repro.hypercube.routing import (
-    RoutingError,
-    ecube_next_hop,
-    ecube_path,
-    fault_tolerant_path,
-    logical_hop_count,
-    path_is_valid,
-    shortest_path,
-)
+from repro.hypercube.routing import RoutingError, shortest_path
 from repro.hypercube.topology import IncompleteHypercube
-
-
-class TestEcube:
-    def test_next_hop_corrects_lowest_dimension(self):
-        assert ecube_next_hop(0b0000, 0b1010) == 0b0010
-
-    def test_next_hop_descending(self):
-        assert ecube_next_hop(0b0000, 0b1010, ascending=False) == 0b1000
-
-    def test_next_hop_at_destination_raises(self):
-        with pytest.raises(RoutingError):
-            ecube_next_hop(5, 5)
-
-    def test_path_length_equals_hamming_distance(self):
-        path = ecube_path(0b0011, 0b1100)
-        assert len(path) - 1 == hamming_distance(0b0011, 0b1100)
-        assert path[0] == 0b0011
-        assert path[-1] == 0b1100
-
-    def test_path_consecutive_hops_adjacent(self):
-        path = ecube_path(0, 15)
-        for a, b in zip(path, path[1:]):
-            assert hamming_distance(a, b) == 1
-
-    def test_trivial_path(self):
-        assert ecube_path(6, 6) == [6]
+from tests.conftest import path_is_valid
 
 
 class TestShortestPath:
@@ -53,6 +19,13 @@ class TestShortestPath:
         path = shortest_path(cube, 0, 3)
         assert path[0] == 0 and path[-1] == 3
         assert 1 not in path
+        assert path_is_valid(cube, path)
+
+    def test_detour_around_missing_link(self):
+        cube = IncompleteHypercube(3, removed_edges=[(0, 1)])
+        path = shortest_path(cube, 0, 1)
+        assert path[0] == 0 and path[-1] == 1
+        assert len(path) > 2
         assert path_is_valid(cube, path)
 
     def test_unreachable_raises(self):
@@ -72,65 +45,7 @@ class TestShortestPath:
         assert shortest_path(cube, 4, 4) == [4]
 
 
-class TestFaultTolerantPath:
-    def test_prefers_ecube_when_intact(self):
-        cube = IncompleteHypercube(4)
-        path = fault_tolerant_path(cube, 0b0000, 0b0101)
-        assert path == ecube_path(0b0000, 0b0101)
-
-    def test_detours_around_failed_node(self):
-        cube = IncompleteHypercube(4)
-        ecube = ecube_path(0b0000, 0b1111)
-        failed = ecube[1]
-        path = fault_tolerant_path(cube, 0b0000, 0b1111, avoid=[failed])
-        assert failed not in path
-        assert path[0] == 0b0000 and path[-1] == 0b1111
-        assert path_is_valid(cube, path)
-
-    def test_detours_around_missing_link(self):
-        cube = IncompleteHypercube(3)
-        cube.remove_edge(0, 1)
-        path = fault_tolerant_path(cube, 0, 1)
-        assert path[0] == 0 and path[-1] == 1
-        assert len(path) > 2
-        assert path_is_valid(cube, path)
-
-    def test_avoiding_endpoint_raises(self):
-        cube = IncompleteHypercube(3)
-        with pytest.raises(RoutingError):
-            fault_tolerant_path(cube, 0, 7, avoid=[7])
-
-    def test_no_route_raises(self):
-        cube = IncompleteHypercube(3)
-        # sever every neighbour of node 0
-        for nb in (1, 2, 4):
-            cube.remove_node(nb)
-        with pytest.raises(RoutingError):
-            fault_tolerant_path(cube, 0, 7)
-
-    def test_survives_n_minus_1_failures(self):
-        # the paper's fault-tolerance claim: an n-cube pair survives any
-        # n-1 node failures (here: remove 3 arbitrary non-endpoint nodes of a 4-cube)
-        cube = IncompleteHypercube(4)
-        for failed in (1, 2, 4):
-            cube.remove_node(failed)
-        path = fault_tolerant_path(cube, 0, 15)
-        assert path[0] == 0 and path[-1] == 15
-        assert path_is_valid(cube, path)
-
-
 class TestHelpers:
-    def test_logical_hop_count_paper_example(self):
-        # 1000 -> 1100 -> 1101 comprises 2 logical hops (Section 4.1)
-        assert logical_hop_count([0b1000, 0b1100, 0b1101]) == 2
-
-    def test_logical_hop_count_single_node(self):
-        assert logical_hop_count([3]) == 0
-
-    def test_logical_hop_count_empty_raises(self):
-        with pytest.raises(ValueError):
-            logical_hop_count([])
-
     def test_path_is_valid_rejects_broken_path(self):
         cube = IncompleteHypercube(3)
         cube.remove_node(1)

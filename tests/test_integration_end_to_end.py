@@ -121,12 +121,12 @@ class TestMultiGroup:
         g2 = compute_delivery_metrics(net, group=2)
         assert g1.packets_originated > 0 and g2.packets_originated > 0
         # members of group 2 never appear as intended receivers of group 1 packets
-        members2 = set(result.scenario.groups.members(2)) - set(
-            result.scenario.groups.members(1)
+        members2 = set(result.scenario.groups.groups[2]) - set(
+            result.scenario.groups.groups[1]
         )
         for record in net.deliveries.values():
             if record.group == 1:
-                assert not (record.intended & members2 - set(result.scenario.groups.members(1)))
+                assert not (record.intended & members2 - set(result.scenario.groups.groups[1]))
 
 
 class TestSweepsSmoke:

@@ -14,9 +14,8 @@ from repro.metrics.fairness import (
     peak_to_mean,
 )
 from repro.metrics.overhead import compute_overhead_metrics
-from repro.simulation.packet import control_packet, data_packet
 
-from tests.conftest import make_static_network
+from tests.conftest import control_packet, data_packet, make_static_network
 
 
 def ledger_network(records):
@@ -82,12 +81,6 @@ class TestDeliveryMetrics:
         )
         metrics = compute_delivery_metrics(net)
         assert metrics.median_delay <= metrics.p95_delay <= metrics.max_delay
-
-    def test_as_row(self):
-        net = ledger_network([(1, 0.0, [1], {1: 0.2})])
-        row = compute_delivery_metrics(net).as_row()
-        assert row["pdr"] == 1.0
-        assert row["mean_delay_ms"] == pytest.approx(200.0)
 
 
 class TestFairness:
@@ -196,7 +189,7 @@ class TestAvailability:
         assert metrics.availability == pytest.approx(0.5)
         assert metrics.recovery_time <= 20.0
 
-    def test_as_row_handles_never_recovered(self):
+    def test_never_recovered_reports_infinite_recovery_time(self):
         net = ledger_network(
             [
                 (1, 1.0, [1], {1: 1.1}),
@@ -205,7 +198,7 @@ class TestAvailability:
         )
         net.simulator.run(20.0)
         metrics = compute_availability(net, failure_time=10.0, failure_duration=10.0, window=5.0)
-        assert metrics.as_row()["recovery_s"] == "never"
+        assert metrics.recovery_time == float("inf")
 
 
 class TestCollectors:
@@ -215,7 +208,7 @@ class TestCollectors:
         assert report.protocol == "test"
         assert report.node_count == 2
         assert report.backbone_load_balance is not None
-        row = report.as_row()
+        row = report.flat_row()
         assert row["protocol"] == "test"
         assert "pdr" in row and "jain" in row
 

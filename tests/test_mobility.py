@@ -1,5 +1,6 @@
 """Unit tests for the mobility models."""
 
+import dataclasses
 import math
 from contextlib import contextmanager
 
@@ -12,9 +13,7 @@ from repro.geo import geometry
 from repro.geo.area import Area, BoundaryPolicy
 from repro.geo.geometry import Point, Vector
 from repro.mobility.base import MobilityModel, NodeMotionState
-from repro.mobility.gauss_markov import GaussMarkovMobility
 from repro.mobility.group_mobility import ReferencePointGroupMobility
-from repro.mobility.random_walk import RandomWalkMobility
 from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.mobility.static import StaticMobility
 from repro.registry import MOBILITY_MODELS
@@ -47,13 +46,6 @@ class TestStatic:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
             StaticMobility(AREA, [1, 1])
-
-    def test_set_position(self):
-        model = StaticMobility(AREA, [0], seed=1)
-        model.set_position(0, Point(500.0, 500.0))
-        assert model.position(0) == Point(500.0, 500.0)
-        with pytest.raises(ValueError):
-            model.set_position(0, Point(5000.0, 0.0))
 
     def test_negative_dt_rejected(self):
         model = StaticMobility(AREA, [0], seed=1)
@@ -113,26 +105,7 @@ class TestRandomWaypoint:
         assert all(a.position(n) == b.position(n) for n in NODE_IDS)
 
 
-class TestRandomWalk:
-    def test_inside_area(self):
-        model = RandomWalkMobility(AREA, NODE_IDS, max_speed=15.0, epoch=5.0, seed=7)
-        for _ in range(100):
-            model.advance(1.0)
-            assert all(AREA.contains(model.position(n)) for n in NODE_IDS)
-
-    def test_direction_changes_after_epoch(self):
-        model = RandomWalkMobility(AREA, [0], min_speed=5.0, max_speed=5.0, epoch=2.0, seed=8)
-        v1 = model.velocity(0)
-        model.advance(5.0)
-        v2 = model.velocity(0)
-        assert (v1.dx, v1.dy) != (v2.dx, v2.dy)
-
-    def test_invalid_epoch(self):
-        with pytest.raises(ValueError):
-            RandomWalkMobility(AREA, [0], epoch=0.0)
-
-
-@pytest.mark.parametrize("name", ["random_waypoint", "random_walk"])
+@pytest.mark.parametrize("name", ["random_waypoint"])
 def test_registered_model_slower_than_the_speed_floor_moves_at_max_speed(name):
     config = ScenarioConfig(area_size=1000.0, max_speed=0.25, pause_time=0.0, seed=3)
     model = MOBILITY_MODELS.get(name)(config, NODE_IDS)
@@ -141,33 +114,6 @@ def test_registered_model_slower_than_the_speed_floor_moves_at_max_speed(name):
     model.advance(1.0)
     for n in NODE_IDS:
         assert geometry.distance(before[n], model.position(n)) == pytest.approx(0.25)
-
-
-class TestGaussMarkov:
-    def test_inside_area(self):
-        model = GaussMarkovMobility(AREA, NODE_IDS, mean_speed=10.0, seed=9)
-        for _ in range(100):
-            model.advance(1.0)
-            assert all(AREA.contains(model.position(n)) for n in NODE_IDS)
-
-    def test_alpha_one_keeps_speed_memory(self):
-        model = GaussMarkovMobility(
-            AREA, [0], mean_speed=5.0, speed_std=2.0, alpha=1.0, seed=10
-        )
-        s0 = model.velocity(0).magnitude
-        model.advance(20.0)
-        assert model.velocity(0).magnitude == pytest.approx(s0, abs=1e-9)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            GaussMarkovMobility(AREA, [0], alpha=1.5)
-
-    def test_speed_never_negative(self):
-        model = GaussMarkovMobility(AREA, NODE_IDS, mean_speed=1.0, speed_std=3.0, alpha=0.2, seed=11)
-        for _ in range(50):
-            model.advance(1.0)
-            for n in NODE_IDS:
-                assert model.velocity(n).magnitude >= 0.0
 
 
 class TestGroupMobility:
@@ -181,19 +127,15 @@ class TestGroupMobility:
         with pytest.raises(ValueError):
             ReferencePointGroupMobility(AREA, range(10), {0: [0, 1, 2]})
 
-    def test_group_of(self):
-        model = self.make_model()
-        assert model.group_of(3) == 0
-        assert model.group_of(7) == 1
-
     def test_members_stay_near_group_center(self):
         model = self.make_model()
         for _ in range(100):
             model.advance(1.0)
-        for node_id in range(10):
-            center = model.group_center(model.group_of(node_id))
-            # allow slack: the member chases a moving target
-            assert geometry.distance(model.position(node_id), center) < 200.0
+        for gid, members in model.groups.items():
+            center = model._centers.position(gid)
+            for node_id in members:
+                # allow slack: the member chases a moving target
+                assert geometry.distance(model.position(node_id), center) < 200.0
 
     def test_groups_are_spatially_coherent(self):
         model = self.make_model(seed=13)
@@ -319,7 +261,7 @@ def tick_snapshot(model):
     trips = getattr(model, "_trips", {})
     centers = getattr(model, "_centers", None)
     return (
-        [model.state(n) for n in model.node_ids],
+        [model._states[n] for n in model.node_ids],
         model.rng.getstate(),
         {n: (t.destination, t.speed, t.pause_remaining) for n, t in trips.items()},
         tick_snapshot(centers) if centers is not None else None,
@@ -357,8 +299,8 @@ class TestAdvanceMatchesReference:
     @given(
         kind=st.sampled_from(MOBILITY_MODELS.names() + ["rpgm", "static_class"]),
         policy=st.sampled_from(list(BoundaryPolicy)),
-        # small areas, so random-walk, Gauss-Markov and RPGM steps leave
-        # them; a large one, so most waypoint steps end mid-leg
+        # small areas, so RPGM steps leave them; a large one, so most
+        # waypoint steps end mid-leg
         area_size=st.sampled_from([20.0, 60.0, 150.0, 1000.0]),
         # 0 degrades the moving factories to static; below 0.5 their speed
         # floor is max_speed itself, so every node moves at max_speed
@@ -387,7 +329,9 @@ class TestAdvanceMatchesReference:
             m.boundary_policy = policy
             for index, fx, fy in placed:
                 if index < n_nodes:
-                    m.set_position(index, Point(fx * area_size, fy * area_size))
+                    m._states[index] = dataclasses.replace(
+                        m._states[index], position=Point(fx * area_size, fy * area_size)
+                    )
         assert tick_snapshot(model) == tick_snapshot(reference)
         for dt in dts:
             model.advance(dt)

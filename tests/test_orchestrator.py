@@ -39,13 +39,13 @@ from repro.experiments.orchestrator import (
     expand_spec,
     export_csv,
     export_json,
-    load_cached_results,
     load_csv,
     load_json,
     mean_ci95,
     run_sweep,
     shard_runs,
     summarize,
+    sweep,
 )
 from repro.experiments.scenarios import PHY_SECTIONS, ScenarioConfig
 from repro.experiments.specs import available_specs
@@ -77,7 +77,7 @@ def tiny_spec(**overrides) -> SweepSpec:
 class TestExpansion:
     def test_cross_product_of_axes_and_seeds(self):
         spec = tiny_spec(grid={"n_nodes": [10, 14], "group_size": [3, 5]}, seeds=(1, 2, 3))
-        runs = spec.expand()
+        runs = expand_spec(spec)
         assert len(runs) == spec.run_count == 2 * 2 * 3
         combos = {(r.config.n_nodes, r.config.group_size, r.seed) for r in runs}
         assert len(combos) == 12
@@ -511,7 +511,7 @@ class TestOneSweepLoop:
         cache_dir = str(tmp_path / "cache")
         run_sweep(tiny_spec(grid={}, seeds=(1, 3), duration=4.0), cache_dir=cache_dir)
         spec = tiny_spec(grid={}, seeds=(1, 2, 3), duration=4.0)
-        results, missing = load_cached_results(spec, cache_dir)
+        results, _, missing = sweep(spec, cache_dir=cache_dir, cache_only=True)
         assert [r.seed for r in results] == [1, 3]
         assert all(r.from_cache for r in results)
         assert missing == [expand_spec(spec)[1].run_id]

@@ -122,7 +122,7 @@ class Twin:
     def __init__(self) -> None:
         self.radio = SinrRadio(range_hint=RANGE)
         self.reference = ReferenceSinrRadio()
-        assert self.radio.interference_radius == self.reference.interference_radius == CELL
+        assert self.radio._interference_radius == self.reference._interference_radius == CELL
         #: (interferers, answer) of every decision, in order
         self.decisions: List[tuple] = []
 

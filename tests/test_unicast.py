@@ -1,16 +1,15 @@
 """Unit tests for greedy geographic unicast routing."""
 
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.geo.geometry import Point, distance
 from repro.simulation.agent import ProtocolAgent
-from repro.simulation.packet import Packet, PacketKind, data_packet
-from repro.unicast.greedy import greedy_next_hop, path_stretch, recovery_next_hop
+from repro.simulation.packet import Packet, PacketKind
+from repro.unicast.greedy import greedy_next_hop, recovery_next_hop
 from repro.unicast.router import GEO_PROTOCOL, GeoUnicastAgent
 
-from tests.conftest import make_static_network
+from tests.conftest import data_packet, make_static_network
 
 
 class TestGreedySelection:
@@ -44,13 +43,6 @@ class TestGreedySelection:
     def test_recovery_all_visited(self):
         neighbors = {1: Point(-20.0, 0.0)}
         assert recovery_next_hop(Point(0.0, 0.0), Point(100.0, 0.0), neighbors, visited={1}) is None
-
-    def test_path_stretch(self):
-        straight = [Point(0.0, 0.0), Point(50.0, 0.0), Point(100.0, 0.0)]
-        assert path_stretch(straight) == pytest.approx(1.0)
-        detour = [Point(0.0, 0.0), Point(50.0, 50.0), Point(100.0, 0.0)]
-        assert path_stretch(detour) > 1.0
-        assert path_stretch([Point(0.0, 0.0)]) == 1.0
 
 
 def reference_greedy_next_hop(current, destination, neighbors, exclude=None):
