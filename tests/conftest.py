@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from typing import Any, Dict, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:  # pragma: no cover - environment dependent
@@ -20,6 +20,7 @@ import pytest
 from repro.geo.area import Area
 from repro.geo.geometry import distance
 from repro.geo.grid import VirtualCircleGrid
+from repro.hypercube.labels import all_labels, differing_dimensions, label_to_bits
 from repro.hypercube.multicast_tree import MulticastTree
 from repro.hypercube.topology import IncompleteHypercube
 from repro.mobility.static import StaticMobility
@@ -170,6 +171,44 @@ def tree_edges(tree) -> list:
 def tree_nodes(tree) -> set:
     """Every node of a multicast tree: its root and both ends of each link."""
     return {tree.root} | {node for edge in tree_edges(tree) for node in edge}
+
+
+def tree_depths(tree) -> Dict[int, int]:
+    """Hop depth below the root of every node of a multicast tree."""
+    depths = {tree.root: 0}
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        for kid in tree.children_of(node):
+            depths[kid] = depths[node] + 1
+            stack.append(kid)
+    return depths
+
+
+def gray_code(dimension: int) -> List[int]:
+    """Oracle: the reflected Gray code of a ``dimension``-cube (``i ^ (i >> 1)``)."""
+    return [label ^ (label >> 1) for label in all_labels(dimension)]
+
+
+def subcube_members(pattern: str) -> List[int]:
+    """Oracle: the labels matching ``pattern`` (MSB first, ``*`` free), one subcube."""
+    if set(pattern) - set("01*"):
+        raise ValueError(f"subcube pattern {pattern!r} may hold only 0, 1 and *")
+    n = len(pattern)
+    return [
+        label
+        for label in all_labels(n)
+        if all(p in ("*", bit) for p, bit in zip(pattern, label_to_bits(label, n)))
+    ]
+
+
+def canonical_subcube(labels: Sequence[int], dimension: int) -> str:
+    """Oracle: the pattern of the smallest subcube holding every label."""
+    if not labels:
+        raise ValueError("the smallest subcube of no labels is undefined")
+    free = {d for label in labels for d in differing_dimensions(labels[0], label)}
+    bits = label_to_bits(labels[0], dimension)
+    return "".join("*" if dimension - 1 - i in free else bit for i, bit in enumerate(bits))
 
 
 def are_node_disjoint(paths: Sequence[Sequence[int]]) -> bool:

@@ -5,9 +5,10 @@ here are tiny synthetic trees; no docs are checked."""
 import os
 import runpy
 
-GATE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts", "check_docs.py"
-)
+import pytest
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GATE = os.path.join(REPO, "scripts", "check_docs.py")
 unused_exports = runpy.run_path(GATE)["unused_exports"]
 
 
@@ -78,3 +79,55 @@ def test_a_string_naming_the_export_is_a_use(tmp_path):
     write(tmp_path, "perfbench/layers.py", 'SPANS = [("tiny.core", "tested", "tiny.run")]\n')
     assert ("tiny", "tested") not in unused_exports(str(tmp_path))
 
+
+
+@pytest.mark.parametrize("top", ["src", "benchmarks", "examples", "perfbench", "scripts"])
+def test_a_call_from_any_consumer_directory_is_a_use(tmp_path, top):
+    tiny_repo(tmp_path)
+    write(tmp_path, f"{top}/consumer.py", "from tiny import unused\n\nunused()\n")
+    assert ("tiny", "unused") not in unused_exports(str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import tiny\n\ntiny.unused()\n",
+        "import tiny\n\nhandler = getattr(tiny, 'unused')\n",
+        "HOOKS = {'unused': None}\n",
+        "from tiny import unused\n\n\n@unused\ndef wrapped():\n    pass\n",
+    ],
+    ids=["attribute", "getattr-string", "string-key", "decorator"],
+)
+def test_names_attributes_and_strings_are_uses(tmp_path, code):
+    tiny_repo(tmp_path)
+    write(tmp_path, "scripts/consumer.py", code)
+    assert ("tiny", "unused") not in unused_exports(str(tmp_path))
+
+
+def test_package_init_code_other_than_imports_is_a_use(tmp_path):
+    # a factory table in the package __init__ (as repro.mobility keeps) counts
+    tiny_repo(tmp_path)
+    init = tmp_path / "src/tiny/__init__.py"
+    init.write_text(init.read_text() + "\nFACTORIES = {\"plugin\": unused}\n")
+    assert ("tiny", "unused") not in unused_exports(str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "from tiny import unused\n",
+        "__all__ = ['unused']\n",
+        '"""Calls ``unused()``."""\n',
+        "# unused()\n",
+        'def helper():\n    """Wraps ``unused``."""\n',
+    ],
+    ids=["import", "all-list", "module-docstring", "comment", "function-docstring"],
+)
+def test_imports_export_lists_docstrings_and_comments_are_not_uses(tmp_path, code):
+    tiny_repo(tmp_path)
+    write(tmp_path, "scripts/consumer.py", code)
+    assert ("tiny", "unused") in unused_exports(str(tmp_path))
+
+
+def test_every_export_of_this_repository_has_a_consumer():
+    assert unused_exports(REPO) == []

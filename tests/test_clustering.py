@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clustering.cluster import ClusterHeadCandidate, elect_cluster_head
+from repro.clustering.cluster import Cluster, ClusterHeadCandidate, elect_cluster_head
 from repro.clustering.mobility_prediction import (
     STATIONARY_RESIDENCE_TIME,
     predicted_residence_time,
@@ -63,6 +63,22 @@ class TestResidenceTimePrediction:
         with pytest.raises(ValueError):
             predicted_residence_time(CENTER, Vector(1.0, 0.0), CENTER, 0.0)
 
+    def test_residence_probability_ordering_preserved(self):
+        # criterion (1), "the highest probability to stay", ranks by residence time
+        slow = predicted_residence_time(CENTER, Vector(1.0, 0.0), CENTER, RADIUS)
+        fast = predicted_residence_time(CENTER, Vector(20.0, 0.0), CENTER, RADIUS)
+        winner = elect_cluster_head(
+            [
+                ClusterHeadCandidate(1, residence_time=fast, distance_to_vcc=0.0),
+                ClusterHeadCandidate(2, residence_time=slow, distance_to_vcc=0.0),
+            ]
+        )
+        assert winner == 2
+
+    def test_residence_probability_invalid_horizon(self):
+        with pytest.raises(ValueError):
+            predicted_residence_time(CENTER, Vector(1.0, 0.0), CENTER, -RADIUS)
+
 
 class TestElection:
     def test_longest_residence_wins(self):
@@ -121,6 +137,17 @@ class TestElection:
             elect_cluster_head(
                 [ClusterHeadCandidate(1, 1.0, 1.0)], current_head=None, hysteresis=1.0
             )
+
+
+    def test_cluster_dataclass(self):
+        grid = VirtualCircleGrid(Area(100.0, 100.0), 2, 2)
+        circle = next(c for c in grid if c.coord == (0, 0))
+        cluster = Cluster(circle=circle, head=4, members={4, 5})
+        assert cluster.circle.coord == (0, 0)
+        assert cluster.head == 4
+        assert cluster.members == {4, 5}
+        empty = Cluster(circle=circle)
+        assert empty.head is None and empty.members == set()
 
 
 def build_service(positions, ch_capable=None, hysteresis=0.2):

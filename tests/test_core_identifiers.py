@@ -99,6 +99,13 @@ class TestMeshMapping:
         with pytest.raises(ValueError):
             space_8x8_dim4.hid_of_mesh((2, 0))
 
+    def test_vcs_of_hid(self, space_8x8_dim4):
+        # the VCs of one hypercube are its HNIDs mapped back through vc_of
+        vcs = {space_8x8_dim4.vc_of(0, hnid) for hnid in range(16)}
+        assert len(vcs) == 16
+        assert (0, 0) in vcs and (3, 3) in vcs and (4, 0) not in vcs
+        assert all(space_8x8_dim4.address_of_vc(vc).hid == 0 for vc in vcs)
+
     def test_region_center(self, space_8x8_dim4):
         assert space_8x8_dim4.region_center(0) == Point(250.0, 250.0)
         assert space_8x8_dim4.region_center(3) == Point(750.0, 750.0)

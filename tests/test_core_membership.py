@@ -85,6 +85,31 @@ class TestHTSummary:
         ht = HTSummary.from_mnt_summaries(0, summaries)
         assert ht.groups() == set()
 
+    def test_merge_union(self):
+        # an HT-Summary is the union of its hypercube's MNT-Summaries
+        a = MNTSummary(1, hnid=0, hid=0, counts={1: 1})
+        b = MNTSummary(2, hnid=2, hid=0, counts={1: 2})
+        c = MNTSummary(3, hnid=3, hid=0, counts={1: 1, 2: 1})
+        merged = HTSummary.from_mnt_summaries(0, [a, b, c])
+        assert merged.hnids_for(1) == {0, 2, 3}
+        assert merged.hnids_for(2) == {3}
+        # building it does not touch the reports
+        assert a.counts == {1: 1}
+
+    def test_merge_is_idempotent(self):
+        reports = [
+            MNTSummary(1, hnid=0, hid=0, counts={1: 1}),
+            MNTSummary(2, hnid=2, hid=0, counts={1: 1}),
+        ]
+        once = HTSummary.from_mnt_summaries(0, reports)
+        twice = HTSummary.from_mnt_summaries(0, reports + reports)
+        assert twice.members_by_group == once.members_by_group
+
+    def test_merge_different_hids_rejected(self):
+        # reports from another hypercube never enter its summary
+        other = MNTSummary(1, hnid=0, hid=1, counts={1: 1})
+        assert HTSummary.from_mnt_summaries(0, [other]).members_by_group == {}
+
     def test_payload_roundtrip(self):
         ht = HTSummary(2, {7: {1, 3}, 9: {0}})
         restored = HTSummary.from_payload(ht.as_payload())
@@ -122,6 +147,16 @@ class TestMTSummary:
         mt.update_from_ht(HTSummary(0, {}), mesh_coord=(0, 0))
         assert mt.mesh_nodes_for(1) == {(1, 0)}
 
+    def test_serialized_size(self):
+        # the MT-Summary is never sent: a mesh-level update costs the
+        # HT-Summary that carries it, 4 bytes plus 8 per group listed
+        mt = MTSummary()
+        ht = HTSummary(0, {1: {0}, 2: {1}})
+        mt.update_from_ht(ht, mesh_coord=(0, 0))
+        assert set(mt.members_by_group) == {1, 2}
+        assert ht.serialized_size() == 4 + 8 * 2
+        assert ht.serialized_size() > HTSummary(0).serialized_size()
+
 
 class TestDesignatedBroadcaster:
     def summaries(self):
@@ -130,6 +165,11 @@ class TestDesignatedBroadcaster:
             1: MNTSummary(11, hnid=1, hid=0, counts={1: 3, 2: 1}),
             3: MNTSummary(13, hnid=3, hid=0, counts={2: 2}),
         }
+
+    def test_unknown_criterion_rejected(self):
+        # the criterion is matched by identity: its string value is not one
+        with pytest.raises(ValueError):
+            select_designated_broadcaster(self.summaries(), BroadcasterCriterion.FIXED.value)
 
     def test_fixed_criterion_smallest_hnid(self):
         assert select_designated_broadcaster(self.summaries(), BroadcasterCriterion.FIXED) == 0

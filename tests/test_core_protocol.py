@@ -7,7 +7,14 @@ deterministic (static) networks built directly on the simulator.
 import pytest
 
 from repro.core.membership import BroadcasterCriterion
-from repro.core.protocol import HVDB_PROTOCOL, HVDBParameters, HVDBProtocolAgent, HVDBStack
+from repro.core.protocol import (
+    HVDB_PROTOCOL,
+    HVDBConfig,
+    HVDBParameters,
+    HVDBProtocolAgent,
+    HVDBStack,
+)
+from repro.core.qos import QoSRequirement
 from repro.geo.area import Area
 from repro.geo.geometry import Point
 from repro.mobility.static import StaticMobility
@@ -76,6 +83,13 @@ class TestStackConstruction:
         stack.start()
         network.simulator.run(6.0)
         assert stack.model_rebuilds >= 2
+
+    def test_qos_requirement_registration(self):
+        # per-group QoS requirements come from the HVDB config section
+        requirement = QoSRequirement(max_delay=0.2)
+        stack = HVDBStack(HVDBConfig(qos_requirements={1: requirement}), seed=1)
+        assert stack.qos_requirements == {1: requirement}
+        assert HVDBStack(qos_requirements={1: requirement}).qos_requirements[1] is requirement
 
 
 class TestMembershipPropagation:

@@ -36,6 +36,14 @@ class TestQoSRequirement:
         with pytest.raises(ValueError):
             QoSRequirement(min_bandwidth=-1.0)
 
+    def test_route_qos_satisfies(self):
+        assert route_satisfies(
+            route([0, 1], 0.05, 2e6), QoSRequirement(max_delay=0.1, min_bandwidth=1e6)
+        )
+        assert not route_satisfies(
+            route([0, 1], 0.05, 0.5e6), QoSRequirement(max_delay=0.1, min_bandwidth=1e6)
+        )
+
 
 class TestRouteSelection:
     def test_route_satisfies(self):
@@ -71,6 +79,20 @@ class TestRouteSelection:
 
     def test_select_empty_routes(self):
         assert select_qos_route([], QoSRequirement()) is None
+
+
+class TestAdmission:
+    """A logical hop is admitted on the route ``select_qos_route`` picks;
+    when it picks none the HVDB agent counts a QoS rejection."""
+
+    def test_admission_returns_route(self):
+        req = QoSRequirement(max_delay=0.1)
+        admitted = select_qos_route([route([0, 1], 0.05)], req)
+        assert admitted.path == (0, 1)
+
+    def test_admission_raises_when_unsatisfiable(self):
+        req = QoSRequirement(max_delay=0.01, min_bandwidth=1e9)
+        assert select_qos_route([route([0, 1], 0.05)], req) is None
 
 
 class TestSatisfactionRatio:

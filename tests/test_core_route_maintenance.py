@@ -33,6 +33,16 @@ class TestLogicalRoute:
         route = LogicalRoute(path=(0, 1, 3), qos=qos())
         assert route.logical_hops == 2
 
+    def test_extended(self):
+        # an advertised route is extended by the link to its advertiser
+        table = LogicalRouteTable(own_hnid=0)
+        table.update_neighbor(1, qos(0.01, 2e6))
+        table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos(0.02, 1e6))], now=0.0)
+        longer = table.routes_to(3)[0]
+        assert longer.path == (0, 1, 3)
+        assert longer.qos.delay == pytest.approx(0.03)
+        assert longer.qos.bandwidth == pytest.approx(1e6)
+
 
 class TestRouteTable:
     def test_direct_neighbor_creates_one_hop_route(self):
@@ -126,6 +136,36 @@ class TestRouteTable:
         destinations = [r.path[-1] for r in adv]
         assert len(destinations) == len(set(destinations))
         assert set(destinations) == {1, 2, 3}
+
+    def test_remove_neighbor_drops_dependent_routes(self):
+        # a neighbour that stops beaconing takes its routes with it at expiry
+        table = LogicalRouteTable(own_hnid=0, expiry=5.0)
+        table.update_neighbor(1, qos(at=0.0))
+        table.update_neighbor(2, qos(at=0.0))
+        table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos(at=0.0))], now=0.0)
+        table.integrate_advertisement(2, [LogicalRoute(path=(2, 3), qos=qos(at=0.0))], now=0.0)
+        table.update_neighbor(2, qos(at=8.0))
+        table.integrate_advertisement(2, [LogicalRoute(path=(2, 3), qos=qos(at=8.0))], now=8.0)
+        assert [r.path[1] for r in table.advertisement()] == [2, 2]
+        remaining = table.routes_to(3)
+        assert remaining and all(r.path[1] == 2 for r in remaining)
+        assert table.routes_to(1) == []
+
+    def test_next_hop_chid(self):
+        # the next logical hop is the second HNID of the best route
+        table = LogicalRouteTable(own_hnid=0)
+        table.update_neighbor(1, qos())
+        table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos())], now=0.0)
+        chid_lookup = {1: 101, 3: 103}
+        assert chid_lookup[table.routes_to(3)[0].path[1]] == 101
+        assert table.routes_to(9) == []
+
+    def test_route_count_and_all_routes(self):
+        table = LogicalRouteTable(own_hnid=0)
+        table.update_neighbor(1, qos())
+        table.update_neighbor(2, qos())
+        assert len(table.routes_to(1)) + len(table.routes_to(2)) == 2
+        assert len(table.advertisement()) == 2
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -188,6 +188,28 @@ class TestFanOutMatchesOneEntryPerCall:
         assert order == [0, 1, "tick", 2, 3, "later"]
         assert sim.processed_events == 6
 
+    def test_stop_mid_fan_out_resumes_with_the_next_call(self):
+        # an event sorting before the rest of a fan-out interrupts it; the
+        # fan-out re-queues itself as one entry and resumes with the next call
+        sim = Simulator()
+        order = []
+        entries = []
+
+        def interrupt():
+            order.append(("tick", sim.processed_events))
+            entries.append(len(sim._heap))
+
+        def deliver(receiver):
+            order.append((receiver, sim.processed_events))
+            if receiver == 1:
+                sim.schedule(0.0, interrupt, priority=-1)
+
+        sim.schedule(1.0, deliver, each=[(0,), (1,), (2,)])
+        sim.run_until(2.0)
+        assert order == [(0, 0), (1, 1), ("tick", 2), (2, 3)]
+        assert entries == [1]   # the fan-out's last call: one entry
+        assert sim.processed_events == 4
+
     def test_cancel_drops_the_calls_not_made_yet(self):
         sim = Simulator()
         order = []
@@ -202,6 +224,18 @@ class TestFanOutMatchesOneEntryPerCall:
         sim.run_until(2.0)
         assert order == [0, 1]
         assert sim.processed_events == 2
+
+    def test_drain_counts_calls(self):
+        # one entry, but processed_events counts each of its calls
+        sim = Simulator()
+        order = []
+        sim.schedule(1.0, order.append, each=[(0,), (1,), (2,)])
+        assert len(sim._heap) == 1
+        sim.run_until(0.5)
+        assert order == [] and sim.processed_events == 0
+        sim.run_until(1.0)
+        assert order == [0, 1, 2]
+        assert sim.processed_events == 3
 
     def test_an_empty_fan_out_is_rejected(self):
         with pytest.raises(ValueError):

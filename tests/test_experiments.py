@@ -6,9 +6,10 @@ import pytest
 
 from repro.baselines.flooding import FLOODING_PROTOCOL, FloodingStack
 from repro.core.protocol import HVDB_PROTOCOL, HVDBConfig, HVDBStack
-from repro.experiments.orchestrator import SweepSpec, expand_spec
+from repro.experiments.orchestrator import SweepSpec, execute_run, expand_spec, summarize
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenarios import PROTOCOLS, ScenarioConfig, build_scenario
+from repro.metrics.collectors import format_table
 from repro.simulation.stack import ProtocolStack
 
 
@@ -106,6 +107,15 @@ class TestRunner:
         )
         assert seen == [30]
 
+    def test_row_includes_extras(self):
+        # a run's row leads with its swept params and seed, then its metrics
+        base = tiny_config(protocol=FLOODING_PROTOCOL)
+        spec = SweepSpec(name="row", base=base, grid={"n_nodes": [20]}, seeds=(5,), duration=20.0)
+        row = execute_run(expand_spec(spec)[0]).row()
+        assert list(row)[:2] == ["n_nodes", "seed"]
+        assert row["n_nodes"] == 20 and row["seed"] == 5
+        assert row["protocol"] == FLOODING_PROTOCOL
+
 
 def run_grid(axis, values, duration):
     """Run one flooding scenario per value of ``axis``, in-process."""
@@ -128,3 +138,13 @@ class TestSweep:
         assert results[0].config.max_speed == 0.0
         assert results[0].config.n_nodes == 25
         assert results[0].report.node_count == 25
+
+    def test_results_table_contains_swept_column(self):
+        # the CLI's summary: summarize() pools seeds, format_table() renders
+        base = tiny_config(protocol=FLOODING_PROTOCOL)
+        spec = SweepSpec(name="t", base=base, grid={"n_nodes": [20]}, seeds=(5,), duration=20.0)
+        results = [execute_run(run) for run in expand_spec(spec)]
+        table = format_table(summarize(results, metrics=["pdr"]), title="demo")
+        assert "demo" in table
+        assert "n_nodes" in table
+        assert "20" in table

@@ -6,6 +6,7 @@ import pytest
 
 from repro.geo.area import Area, BoundaryPolicy
 from repro.geo.geometry import Point, Vector
+from repro.geo.grid import VirtualCircleGrid
 
 
 class TestAreaBasics:
@@ -14,6 +15,12 @@ class TestAreaBasics:
             Area(0.0, 100.0)
         with pytest.raises(ValueError):
             Area(100.0, -5.0)
+
+    def test_center_and_diagonal(self):
+        # a one-circle grid's circle is centred on the area and spans its diagonal
+        circle = next(iter(VirtualCircleGrid(Area(300.0, 400.0), 1, 1)))
+        assert circle.center == Point(150.0, 200.0)
+        assert 2 * circle.radius == pytest.approx(500.0)
 
     def test_contains(self):
         area = Area(100.0, 100.0)
@@ -32,6 +39,10 @@ class TestAreaBasics:
 class TestBoundaryPolicies:
     def setup_method(self):
         self.area = Area(100.0, 100.0)
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError):
+            self.area.apply_boundary(Point(150.0, 50.0), Vector(1.0, 0.0), "reflect")
 
     def test_point_inside_unchanged(self):
         p, v = self.area.apply_boundary(Point(50.0, 50.0), Vector(1.0, 1.0), BoundaryPolicy.REFLECT)

@@ -72,6 +72,49 @@ class TestLookup:
         assert not circle.contains(Point(900.0, 900.0))
 
 
+def neighbors(grid, coord, diagonal=False):
+    """The VCs sharing a side (with ``diagonal``, a corner) with ``coord``:
+    the other circles covering the midpoints of its sides (its corners)."""
+    x0, y0 = coord[0] * grid.cell_width, coord[1] * grid.cell_height
+    w, h = grid.cell_width, grid.cell_height
+    if diagonal:
+        points = [Point(x0 + i * w, y0 + j * h) for i in (0, 1) for j in (0, 1)]
+    else:
+        points = [
+            Point(x0 + w / 2, y0), Point(x0 + w / 2, y0 + h),
+            Point(x0, y0 + h / 2), Point(x0 + w, y0 + h / 2),
+        ]
+    return sorted({c for p in points for c in grid.covering_coords(p)} - {coord})
+
+
+class TestNeighbors:
+    """The grid keeps no adjacency table: neighbouring circles are the ones
+    whose overlaps cover the points a VC shares with them."""
+
+    def test_interior_four_neighbors(self, grid_8x8):
+        assert neighbors(grid_8x8, (3, 3)) == [(2, 3), (3, 2), (3, 4), (4, 3)]
+
+    def test_corner_two_neighbors(self, grid_8x8):
+        assert neighbors(grid_8x8, (0, 0)) == [(0, 1), (1, 0)]
+
+    def test_diagonal_neighbors(self, grid_8x8):
+        assert len(neighbors(grid_8x8, (3, 3), diagonal=True)) == 8
+        assert len(neighbors(grid_8x8, (0, 0), diagonal=True)) == 3
+
+    def test_neighbors_outside_raises(self, grid_8x8):
+        with pytest.raises(KeyError):
+            grid_8x8.vcc((8, 0))
+
+    def test_manhattan(self, grid_8x8):
+        # VC centres sit one cell apart, so centre offsets count cells
+        def manhattan(a, b):
+            pa, pb = grid_8x8.vcc(a), grid_8x8.vcc(b)
+            return abs(pa.x - pb.x) / grid_8x8.cell_width + abs(pa.y - pb.y) / grid_8x8.cell_height
+
+        assert manhattan((0, 0), (3, 4)) == 7
+        assert manhattan((5, 5), (5, 5)) == 0
+
+
 class TestSpatialHash:
     def test_candidates_cover_everything_within_cell_radius(self):
         import random

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core.identifiers import LogicalAddressSpace
+from repro.geo.area import Area
+from repro.geo.grid import VirtualCircleGrid
 from repro.hypercube.mesh import MeshGrid, MeshMulticastTree, mesh_multicast_tree
 from tests.conftest import tree_edges, tree_nodes
 
@@ -43,6 +46,36 @@ class TestMeshGrid:
         with pytest.raises(KeyError):
             mesh.neighbors((1, 1))
 
+    def test_remove_and_restore_link(self):
+        # a mesh link is down exactly while one of its blocks is absent
+        assert MeshGrid(2, 2).has_link((0, 0), (0, 1))
+        mesh = mesh_without(2, 2, (0, 1))
+        assert not mesh.has_link((0, 0), (0, 1))
+        assert (0, 1) not in mesh.neighbors((0, 0))
+        mesh = MeshGrid(2, 2, present=[(0, 0), (0, 1)])
+        assert mesh.has_link((0, 0), (0, 1))
+
+    def test_remove_non_adjacent_link_raises(self):
+        # only 4-adjacent blocks are linked; a block off the grid is rejected
+        mesh = MeshGrid(3, 3)
+        assert not mesh.has_link((0, 0), (2, 2))
+        assert not mesh.has_link((0, 0), (1, 1))
+        with pytest.raises(ValueError):
+            MeshGrid(3, 3, present=[(0, 0), (3, 3)])
+
+    def test_add_remove_node(self):
+        mesh = MeshGrid(2, 2, present=[(0, 0), (0, 1)])
+        assert mesh.has_link((0, 0), (0, 1))
+        mesh = MeshGrid(2, 2, present=[(0, 0)])
+        assert (0, 1) not in mesh
+        assert not mesh.has_link((0, 0), (0, 1))
+
+    def test_connectivity(self):
+        mesh = MeshGrid(3, 1)
+        assert mesh.shortest_path((0, 0), (2, 0)) == [(0, 0), (1, 0), (2, 0)]
+        with pytest.raises(ValueError):
+            mesh_without(3, 1, (1, 0)).shortest_path((0, 0), (2, 0))
+
     def test_shortest_path(self):
         mesh = MeshGrid(4, 4)
         path = mesh.shortest_path((0, 0), (3, 3))
@@ -59,6 +92,29 @@ class TestMeshGrid:
         mesh = mesh_without(3, 1, (1, 0))
         with pytest.raises(ValueError):
             mesh.shortest_path((0, 0), (2, 0))
+
+    def test_shortest_path_absent_endpoint_raises(self):
+        mesh = mesh_without(3, 1, (2, 0))
+        with pytest.raises(KeyError):
+            mesh.shortest_path((0, 0), (2, 0))
+        with pytest.raises(KeyError):
+            mesh.shortest_path((2, 0), (0, 0))
+
+    def test_shortest_path_to_itself(self):
+        assert MeshGrid(3, 3).shortest_path((1, 1), (1, 1)) == [(1, 1)]
+
+    def test_manhattan(self):
+        # on a complete mesh a route's hop count is the Manhattan distance
+        path = MeshGrid(5, 5).shortest_path((0, 0), (3, 4))
+        assert len(path) - 1 == 7
+
+    def test_mesh_node_dataclass(self):
+        # a mesh node is a (column, row) MNID whose HID is its row-major index
+        grid = VirtualCircleGrid(Area(1200.0, 1600.0), 12, 16)
+        space = LogicalAddressSpace(grid, dimension=4)   # 3 x 4 blocks
+        assert space.mesh_of_hid(11) == (2, 3)
+        assert space.hid_of_mesh((2, 3)) == 11
+        assert space.mesh_coord_of((8, 12)) == (2, 3)
 
 
 class TestMeshMulticastTree:

@@ -69,6 +69,10 @@ class TestIncompleteCubePaths:
             cube.remove_node(nb)
         assert node_disjoint_paths(cube, 0, 7) == []
 
+    def test_same_node(self):
+        cube = IncompleteHypercube(3, present_nodes=[0, 5])
+        assert node_disjoint_paths(cube, 5, 5) == [[5]]
+
     def test_missing_endpoint(self):
         cube = IncompleteHypercube(3, present_nodes=[0, 1])
         assert node_disjoint_paths(cube, 0, 7) == []

@@ -1,7 +1,10 @@
 """Unit tests for the metrics layer."""
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.experiments.specs import _availability
 from repro.geo.geometry import Point
 from repro.metrics.availability import compute_availability, windowed_delivery_ratio
 from repro.metrics.collectors import collect_metrics, format_table
@@ -81,6 +84,12 @@ class TestDeliveryMetrics:
         )
         metrics = compute_delivery_metrics(net)
         assert metrics.median_delay <= metrics.p95_delay <= metrics.max_delay
+
+    def test_as_row(self):
+        net = ledger_network([(1, 0.0, [1], {1: 0.2})])
+        row = collect_metrics(net, protocol="p", duration=1.0).flat_row()
+        assert row["pdr"] == 1.0
+        assert row["mean_delay"] == pytest.approx(0.2)
 
 
 class TestFairness:
@@ -189,7 +198,7 @@ class TestAvailability:
         assert metrics.availability == pytest.approx(0.5)
         assert metrics.recovery_time <= 20.0
 
-    def test_never_recovered_reports_infinite_recovery_time(self):
+    def test_as_row_handles_never_recovered(self):
         net = ledger_network(
             [
                 (1, 1.0, [1], {1: 1.1}),
@@ -199,6 +208,31 @@ class TestAvailability:
         net.simulator.run(20.0)
         metrics = compute_availability(net, failure_time=10.0, failure_duration=10.0, window=5.0)
         assert metrics.recovery_time == float("inf")
+        # E5's row keeps every metric a finite scalar: recovered=0, recovery_s=-1
+        result = SimpleNamespace(
+            scenario=SimpleNamespace(network=net), report=SimpleNamespace(duration=20.0)
+        )
+        row = _availability(result)
+        assert row["recovered"] == 0.0
+        assert row["recovery_s"] == -1.0
+
+    def test_e5_row_of_a_recovered_run(self):
+        # the collector fails at half the duration, for 20 s, in 10 s windows
+        net = ledger_network(
+            [
+                (1, 5.0, [1], {1: 5.1}),
+                (1, 25.0, [1], {}),                 # during the failure
+                (1, 42.0, [1], {1: 42.2}),          # 12 s after it ends
+            ]
+        )
+        net.simulator.run(60.0)
+        result = SimpleNamespace(
+            scenario=SimpleNamespace(network=net), report=SimpleNamespace(duration=40.0)
+        )
+        row = _availability(result)
+        assert row["recovered"] == 1.0
+        assert 0.0 <= row["recovery_s"] < float("inf")
+        assert row["pdr_before"] == 1.0 and row["pdr_during"] == 0.0
 
 
 class TestCollectors:

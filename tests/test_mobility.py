@@ -47,6 +47,15 @@ class TestStatic:
         with pytest.raises(ValueError):
             StaticMobility(AREA, [1, 1])
 
+    def test_set_position(self):
+        # a node is placed through ``positions``; a place outside the area is refused
+        model = StaticMobility(AREA, [0], positions={0: Point(500.0, 500.0)}, seed=1)
+        assert model.position(0) == Point(500.0, 500.0)
+        model.advance(10.0)
+        assert model.position(0) == Point(500.0, 500.0)
+        with pytest.raises(ValueError):
+            StaticMobility(AREA, [0], positions={0: Point(5000.0, 0.0)}, seed=1)
+
     def test_negative_dt_rejected(self):
         model = StaticMobility(AREA, [0], seed=1)
         with pytest.raises(ValueError):
@@ -126,6 +135,27 @@ class TestGroupMobility:
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             ReferencePointGroupMobility(AREA, range(10), {0: [0, 1, 2]})
+
+    def test_invalid_speeds_rejected(self):
+        groups = {0: [0, 1]}
+        for bad in (dict(group_speed=0.0), dict(member_speed=-1.0), dict(member_radius=-5.0)):
+            with pytest.raises(ValueError):
+                ReferencePointGroupMobility(AREA, [0, 1], groups, **bad)
+
+    def test_negative_dt_rejected_and_zero_dt_moves_nothing(self):
+        model = self.make_model()
+        before = [model.position(n) for n in range(10)]
+        rng_state = model.rng.getstate()
+        model.advance(0.0)
+        assert [model.position(n) for n in range(10)] == before
+        assert model.rng.getstate() == rng_state
+        with pytest.raises(ValueError):
+            model.advance(-1.0)
+
+    def test_group_of(self):
+        model = self.make_model()
+        assert [gid for gid, members in model.groups.items() if 3 in members] == [0]
+        assert [gid for gid, members in model.groups.items() if 7 in members] == [1]
 
     def test_members_stay_near_group_center(self):
         model = self.make_model()

@@ -75,6 +75,34 @@ class TestMembershipProperties:
         assert summary.member_total() == sum(len(g) for g in group_lists)
 
     @given(st.data())
+    def test_ht_summary_merge_commutative_and_idempotent(self, data):
+        # an HT-Summary merges its hypercube's MNT-Summaries: in any order,
+        # any number of times, and only ever growing with more reports
+        def reports(d):
+            counts = d.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(min_value=0, max_value=15),
+                        st.dictionaries(
+                            st.integers(min_value=1, max_value=5),
+                            st.integers(min_value=0, max_value=3),
+                            max_size=4,
+                        ),
+                    ),
+                    max_size=6,
+                )
+            )
+            return [MNTSummary(hnid, hnid, 0, dict(c)) for hnid, c in counts]
+
+        a, b = reports(data), reports(data)
+        ab = HTSummary.from_mnt_summaries(0, a + b)
+        ba = HTSummary.from_mnt_summaries(0, b + a)
+        assert ab.members_by_group == ba.members_by_group
+        assert HTSummary.from_mnt_summaries(0, a + b + a).members_by_group == ab.members_by_group
+        for group, hnids in HTSummary.from_mnt_summaries(0, a).members_by_group.items():
+            assert hnids <= ab.members_by_group.get(group, set())
+
+    @given(st.data())
     def test_mt_summary_reflects_latest_ht_per_mesh_node(self, data):
         mt = MTSummary()
         updates = data.draw(

@@ -116,6 +116,18 @@ class TestAxisVocabulary:
         with pytest.raises(SpecError, match="hvdb.dimenson"):
             expand_spec(tiny_spec(grid={"hvdb.dimenson": [2]}))
 
+    def test_results_table_accepts_dotted_swept_axis(self):
+        from repro.experiments.orchestrator import execute_run, summarize
+        from repro.metrics.collectors import format_table
+
+        spec = tiny_spec(
+            grid={"hvdb.dimension": [2, 3]}, seeds=(tiny_config().seed,), duration=6.0
+        )
+        results = [execute_run(run) for run in expand_spec(spec)]
+        rows = summarize(results, metrics=["pdr"])
+        assert [row["hvdb.dimension"] for row in rows] == [2, 3]
+        assert "hvdb.dimension" in format_table(rows, title="dims")
+
 
 class TestTypedConfigHashing:
     def test_identical_nested_configs_hash_equal(self):

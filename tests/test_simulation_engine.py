@@ -79,12 +79,34 @@ class TestSimulator:
         sim.run_until(10.0)
         assert fired == [1.0, 2.0, 3.0]
 
+    def test_stop_during_run(self):
+        # a run stops at its end time; the next run resumes the remaining events
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1))
+        sim.schedule(2.0, lambda: fired.append(2))
+        sim.run_until(1.5)
+        assert fired == [1]
+        sim.run_until(5.0)
+        assert fired == [1, 2]
+
     def test_processed_and_pending_counters(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
+        assert len(sim._heap) == 2
         sim.run_until(1.5)
         assert sim.processed_events == 1
+        assert len(sim._heap) == 1
+
+    def test_drain_runs_everything(self):
+        sim = Simulator()
+        fired = []
+        for t in (5.0, 1.0, 3.0):
+            sim.schedule(t, lambda t=t: fired.append(t))
+        sim.run_until(float("inf"))
+        assert fired == [1.0, 3.0, 5.0]
+        assert sim.processed_events == 3
 
     def test_run_convenience(self):
         sim = Simulator()
@@ -115,6 +137,7 @@ class TestPeriodicTimer:
         timer = PeriodicTimer(sim, 1.0, lambda: ticks.append(sim.now))
         sim.run_until(3.5)
         timer.stop()
+        assert timer._event.cancelled    # its next tick is cancelled in the heap
         sim.run_until(10.0)
         assert ticks == [1.0, 2.0, 3.0]
 
@@ -132,6 +155,10 @@ class TestPeriodicTimer:
         assert all(t >= 2.0 for t in ticks[:1])
         # at least one tick is off the exact multiple of the period
         assert any(abs(t - round(t / 2.0) * 2.0) > 1e-9 for t in ticks)
+
+    def test_negative_jitter_rejected(self):
+        with pytest.raises(ValueError):
+            PeriodicTimer(Simulator(), 1.0, lambda: None, jitter=-0.5, rng=random.Random(1))
 
     def test_invalid_period(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,26 @@ class TestTopology:
         net.fail_nodes([1])
         assert net.neighbors_of(0) == []
 
+    def test_connectivity_components(self):
+        net = make_static_network(
+            {0: Point(0, 0), 1: Point(100, 0), 2: Point(800, 800), 3: Point(900, 800)},
+            radio_range=150.0,
+        )
+        comps = []
+        unseen = set(net.nodes)
+        while unseen:
+            frontier = [min(unseen)]
+            comp = set(frontier)
+            while frontier:
+                for nb in net.neighbors_of(frontier.pop()):
+                    if nb not in comp:
+                        comp.add(nb)
+                        frontier.append(nb)
+            comps.append(comp)
+            unseen -= comp
+        assert len(comps) == 2
+        assert {0, 1} in comps and {2, 3} in comps
+
     def test_duplicate_node_rejected(self):
         net = line_network()
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from repro.registry import RADIOS
 from repro.simulation.mac import IdealMac, SimpleCsmaMac, TxPlan
 from repro.simulation.packet import Packet, PacketKind
 from repro.simulation.radio import LogDistanceRadio, RadioModel, UnitDiskRadio
-from tests.conftest import control_packet, data_packet, literal_in_range
+from tests.conftest import control_packet, data_packet, literal_in_range, make_static_network
 
 
 class TestPacket:
@@ -52,6 +52,17 @@ class TestPacket:
         for f in dataclasses.fields(Packet):
             assert getattr(copy, f.name) == getattr(packet, f.name), f.name
         assert copy.headers is not packet.headers
+
+    def test_age(self):
+        # a packet's age when it arrives is the delay the ledger records
+        net = make_static_network({0: Point(0.0, 0.0), 1: Point(100.0, 0.0)})
+        net.simulator.run_until(5.0)
+        packet = data_packet("p", 0, 1, None, 100, now=net.simulator.now)
+        net.register_data_packet(packet, intended=[1])
+        net.simulator.run_until(8.5)
+        net.note_delivery(packet, 1)
+        assert net.simulator.now - packet.created_at == pytest.approx(3.5)
+        assert net.deliveries[packet.uid].delays() == [pytest.approx(3.5)]
 
     def test_control_packet_kind(self):
         packet = control_packet("p", "beacon", 3, 40, 1.0)
@@ -250,6 +261,8 @@ class TestSimpleCsmaMac:
             SimpleCsmaMac(base_latency=-0.1)
         with pytest.raises(ValueError):
             SimpleCsmaMac(collision_probability_per_contender=2.0)
+        with pytest.raises(ValueError):
+            SimpleCsmaMac(max_collision_probability=1.5)
 
     def test_negative_arguments_rejected(self):
         mac = SimpleCsmaMac()
@@ -400,6 +413,10 @@ class TestSinrRadio:
             self._radio(interference_range_factor=0.5)
         with pytest.raises(ValueError):
             self._radio(noise_floor_dbm=20.0)
+        from repro.simulation.phy import SinrRadio
+
+        with pytest.raises(ValueError):
+            SinrRadio(range_hint=0.0)
 
     def test_reception_without_interference(self):
         radio = self._radio()
@@ -573,6 +590,15 @@ class TestCsmaCaMac:
         ):
             with pytest.raises(ValueError):
                 self._mac(**bad)
+
+    def test_negative_size_or_contenders_rejected(self):
+        mac = self._mac()
+        with pytest.raises(ValueError):
+            mac.airtime(-1)
+        with pytest.raises(ValueError):
+            mac.contention_window(-1)
+        with pytest.raises(ValueError):
+            mac.transmission_delay(100, -1)
 
 
 class TestNetworkDutyCycleAccounting:

@@ -52,6 +52,17 @@ class TestCbrSource:
         net.simulator.run(10.0)
         assert all(t <= 3.0 for (_, _, _, t) in agents[0].sent)
 
+    def test_stopped_source_stops(self):
+        net, agents = network_with_agents()
+        source = CbrMulticastSource(
+            net, 0, group=1, protocol_name="counting", interval=1.0, stop_time=3.5
+        )
+        net.simulator.run(3.5)
+        count = len(agents[0].sent)
+        net.simulator.run(5.0)
+        assert count > 0
+        assert len(agents[0].sent) == count == source.packets_sent
+
     def test_dead_source_does_not_send(self):
         net, agents = network_with_agents()
         CbrMulticastSource(net, 0, group=1, protocol_name="counting", interval=1.0)
@@ -73,6 +84,36 @@ class TestCbrSource:
         sequences = [payload[1] for (_, payload, _, _) in agents[0].sent]
         assert sequences == sorted(sequences)
         assert len(set(sequences)) == len(sequences)
+
+
+def churned_changes(rate, duration, seed, stop_time=None):
+    """Membership changes churn makes on a two-member group of four nodes."""
+    net, _ = network_with_agents()
+    manager = MulticastGroupManager(net, seed=seed)
+    manager.create_group(1, [0, 1])
+    manager.start_churn(1, rate=rate, stop_time=stop_time)
+    net.simulator.run(duration)
+    return [change for change in manager.history if change.time > 0.0]
+
+
+class TestPoissonSource:
+    """Group churn is the simulator's Poisson process: exponential gaps at ``rate``."""
+
+    def test_rate_roughly_matches(self):
+        count = len(churned_changes(rate=2.0, duration=100.0, seed=5))
+        assert 120 < count < 280    # ~200 expected
+
+    def test_stop(self):
+        changes = churned_changes(rate=5.0, duration=12.0, seed=6, stop_time=2.0)
+        assert changes
+        assert all(change.time <= 2.0 for change in changes)
+
+    def test_invalid_rate(self):
+        net, _ = network_with_agents()
+        manager = MulticastGroupManager(net, seed=1)
+        manager.create_group(1, [0])
+        with pytest.raises(ValueError):
+            manager.start_churn(1, rate=0.0)
 
 
 class TestGroupManager:
@@ -130,6 +171,11 @@ class TestGroupManager:
         net.simulator.run(30.0)
         assert len(manager.groups[1]) >= 1
         assert len(manager.history) > 2
+
+    def test_observed_churn_rate(self):
+        changes = churned_changes(rate=2.0, duration=20.0, seed=5)
+        assert len(changes) / 20.0 > 0.0
+        assert all(change.group == 1 for change in changes)
 
     def test_churn_requires_existing_group(self):
         net, _ = network_with_agents()

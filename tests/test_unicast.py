@@ -1,5 +1,6 @@
 """Unit tests for greedy geographic unicast routing."""
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -43,6 +44,25 @@ class TestGreedySelection:
     def test_recovery_all_visited(self):
         neighbors = {1: Point(-20.0, 0.0)}
         assert recovery_next_hop(Point(0.0, 0.0), Point(100.0, 0.0), neighbors, visited={1}) is None
+
+    def test_path_stretch(self):
+        # a greedy route's stretch: the length travelled over the straight line
+        def stretch(positions, radio_range):
+            route = [0]
+            while route[-1] != 2:
+                here = positions[route[-1]]
+                in_range = {
+                    n: p for n, p in positions.items()
+                    if n != route[-1] and distance(here, p) <= radio_range
+                }
+                route.append(greedy_next_hop(here, positions[2], in_range))
+            travelled = sum(distance(positions[a], positions[b]) for a, b in zip(route, route[1:]))
+            return travelled / distance(positions[0], positions[2])
+
+        straight = {0: Point(0.0, 0.0), 1: Point(50.0, 0.0), 2: Point(100.0, 0.0)}
+        assert stretch(straight, 60.0) == pytest.approx(1.0)
+        detour = {0: Point(0.0, 0.0), 1: Point(50.0, 50.0), 2: Point(100.0, 0.0)}
+        assert stretch(detour, 80.0) == pytest.approx(2 ** 0.5)
 
 
 def reference_greedy_next_hop(current, destination, neighbors, exclude=None):
