@@ -26,7 +26,7 @@ from repro.core.membership import (
     select_designated_broadcaster,
 )
 from repro.core.multicast_routing import compute_hypercube_tree, compute_mesh_tree
-from repro.core.route_maintenance import LinkQoS, LogicalRoute, LogicalRouteTable
+from repro.core.route_maintenance import LinkQoS, LogicalRouteTable
 from repro.hypercube.mesh import MeshGrid
 from repro.hypercube.topology import IncompleteHypercube
 
@@ -50,7 +50,8 @@ def figure4_round(cube: IncompleteHypercube) -> int:
         for neighbor in cube.neighbors(hnid):
             table.update_neighbor(neighbor, LinkQoS(0.01, 1e6, 0.0))
     # advertisement integration (the "update on beacon receipt" step), twice
-    # so k-hop routes build up
+    # so k-hop routes build up; each beacon is its sender's (path, delay,
+    # bandwidth) triples, as HVDB agents exchange them
     accepted = 0
     for _ in range(2):
         advertisements = {hnid: table.advertisement() for hnid, table in tables.items()}

@@ -22,8 +22,9 @@ import json
 import os
 import sys
 
-#: about 10x the median wall_s of each workload on a 2-vCPU shared VM
-#: (2.08 s, 0.288 s, 0.330 s), so only a catastrophic slowdown fails
+#: at least 10x the median wall_s of each workload in alternated 8 s runs
+#: on a 2-vCPU shared VM (1.87 s, 0.236 s, 0.247 s), so only a
+#: catastrophic slowdown fails
 WALL_LIMIT_S = {"hvdb_200": 21.0, "flood_200": 3.0, "sweep_phy_smoke": 3.5}
 #: the largest share of a traced run's time left outside the named layers
 UNATTRIBUTED_LIMIT = 0.05

@@ -46,7 +46,7 @@ from repro.core.membership import (
 )
 from repro.core.multicast_routing import MulticastForwardingState
 from repro.core.qos import QoSRequirement, select_qos_route
-from repro.core.route_maintenance import LinkQoS, LogicalRoute, LogicalRouteTable
+from repro.core.route_maintenance import LinkQoS, LogicalRouteTable
 from repro.geo.grid import VirtualCircleGrid
 from repro.hypercube.multicast_tree import MulticastTree
 from repro.registry import register_protocol
@@ -397,9 +397,7 @@ class HVDBProtocolAgent(ProtocolAgent):
         address = self.model.address_of_ch(self.node_id)
         neighbors = self.model.logical_neighbors_of_ch(self.node_id)
         # (path, delay, bandwidth) per route; paths are immutable tuples
-        advertisement = [
-            (path, qos.delay, qos.bandwidth) for path, qos in table.advertisement()
-        ]
+        advertisement = table.advertisement()
         size = 16 + 14 * len(advertisement)
         for peer in neighbors:
             packet = Packet(
@@ -436,15 +434,10 @@ class HVDBProtocolAgent(ProtocolAgent):
         # measure the logical-link QoS from the beacon itself
         delay = max(1e-4, now - float(payload["sent_at"]))
         contenders = max(1, len(self.network.neighbor_positions(self.node_id)))
-        bandwidth = self.network.config.mac.bandwidth_bps / contenders \
-            if hasattr(self.network.config.mac, "bandwidth_bps") else 1e6
-        link = LinkQoS(delay=delay, bandwidth=bandwidth, measured_at=now)
-        table.update_neighbor(neighbor_hnid, link)
-        advertised = [
-            LogicalRoute(path, LinkQoS(path_delay, path_bandwidth, now))
-            for path, path_delay, path_bandwidth in payload["routes"]
-        ]
-        table.integrate_advertisement(neighbor_hnid, advertised, now)
+        mac_bandwidth = self.stack.mac_bandwidth_bps
+        bandwidth = 1e6 if mac_bandwidth is None else mac_bandwidth / contenders
+        table.update_neighbor(neighbor_hnid, LinkQoS(delay, bandwidth, now))
+        table.integrate_advertisement(neighbor_hnid, payload["routes"], now)
 
     # ------------------------------------------------------------------
     # Figure 6: data path
@@ -492,17 +485,20 @@ class HVDBProtocolAgent(ProtocolAgent):
         )
 
     # -- packet reception ---------------------------------------------------
+    #: msg_type -> the handler of that control message
+    _CONTROL_HANDLERS = {
+        "local-membership": _handle_local_membership,
+        "mnt-summary": _handle_mnt_summary,
+        "ht-summary": _handle_ht_summary,
+        "route-beacon": _handle_route_beacon,
+    }
+
     def on_packet(self, packet: Packet, from_node: int) -> None:
         if packet.protocol != HVDB_PROTOCOL:
             return
-        handler = {
-            "local-membership": self._handle_local_membership,
-            "mnt-summary": self._handle_mnt_summary,
-            "ht-summary": self._handle_ht_summary,
-            "route-beacon": self._handle_route_beacon,
-        }.get(packet.msg_type)
+        handler = self._CONTROL_HANDLERS.get(packet.msg_type)
         if handler is not None:
-            handler(packet)
+            handler(self, packet)
             return
         if packet.msg_type == "data":
             self._handle_data(packet, from_node)
@@ -742,6 +738,11 @@ class HVDBStack(ProtocolStack):
             self._apply_section(config.hvdb)
             self.seed = config.seed
         self.network = network
+        #: the MAC's raw bandwidth, which a beacon's receiver shares out
+        #: among its contenders (None: a MAC without one, 1 Mbit/s links)
+        self.mac_bandwidth_bps: Optional[float] = getattr(
+            network.config.mac, "bandwidth_bps", None
+        )
         self.grid = VirtualCircleGrid(network.config.area, self.vc_cols, self.vc_rows)
         self.space = LogicalAddressSpace(self.grid, self.dimension)
         self.clustering = ClusteringService(

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
+#: one route of a beacon: (HNID path from the advertiser, delay, bandwidth)
+AdvertisedRoute = Tuple[Tuple[int, ...], float, float]
+
 
 class LinkQoS(NamedTuple):
     """QoS state of one 1-logical-hop link (an immutable record)."""
@@ -24,14 +27,6 @@ class LinkQoS(NamedTuple):
     delay: float          #: seconds across the logical link (multi-hop physical)
     bandwidth: float      #: available bandwidth in bits per second
     measured_at: float    #: simulation time of the measurement
-
-    def combined_with(self, other: "LinkQoS") -> "LinkQoS":
-        """QoS of the concatenation of two logical links."""
-        return LinkQoS(
-            self.delay + other.delay,
-            min(self.bandwidth, other.bandwidth),
-            min(self.measured_at, other.measured_at),
-        )
 
 
 class LogicalRoute(NamedTuple):
@@ -84,63 +79,74 @@ class LogicalRouteTable:
         if neighbor_hnid == self.own_hnid:
             raise ValueError("a CH has no logical link to itself")
         self._neighbor_qos[neighbor_hnid] = qos
-        self._insert(LogicalRoute((self.own_hnid, neighbor_hnid), qos))
+        self._insert((self.own_hnid, neighbor_hnid), *qos)
 
     def integrate_advertisement(
-        self, neighbor_hnid: int, advertised: Iterable[LogicalRoute], now: float
+        self, neighbor_hnid: int, advertised: Iterable[AdvertisedRoute], now: float
     ) -> int:
         """Merge routes advertised by a 1-logical-hop neighbour (Figure 4, step 2).
 
-        Each advertised route (from the neighbour's perspective) is turned
+        Each advertised ``(path, delay, bandwidth)`` (from the neighbour's
+        perspective, measured ``now`` as the beacon arrives) is turned
         into a route of this CH by prefixing the direct link to the
-        neighbour, provided the result stays within ``max_logical_hops``,
-        does not loop back through this CH, and the direct link is known.
-        Returns the number of routes accepted.
+        neighbour: delays add, the smaller bandwidth and the older
+        measurement time hold.  That happens provided the result stays
+        within ``max_logical_hops``, does not loop back through this CH,
+        and the direct link is known.  Returns the number of routes
+        accepted.
         """
         link = self._neighbor_qos.get(neighbor_hnid)
         if link is None:
             return 0
+        link_delay, link_bandwidth, link_measured_at = link
+        measured_at = min(link_measured_at, now)
         own = self.own_hnid
+        max_hops = self.max_logical_hops
         accepted = 0
-        for path, qos in advertised:
+        for path, delay, bandwidth in advertised:
             # prefixing the link makes the route len(path) logical hops long
-            if path[0] != neighbor_hnid or own in path or len(path) > self.max_logical_hops:
+            if path[0] != neighbor_hnid or own in path or len(path) > max_hops:
                 continue
-            if self._insert(LogicalRoute((own,) + path, link.combined_with(qos))):
+            if self._insert(
+                (own,) + path, link_delay + delay, min(link_bandwidth, bandwidth), measured_at
+            ):
                 accepted += 1
         self.prune_expired(now)
         return accepted
 
-    def _insert(self, route: LogicalRoute) -> bool:
+    def _insert(
+        self, path: Tuple[int, ...], delay: float, bandwidth: float, measured_at: float
+    ) -> bool:
         """Insert a route, keeping the per-destination list bounded and sorted.
 
         A route with the same path is replaced (a refresh), and the new
         route goes just after every route whose (logical hops, delay) key
         is <= its own: where appending and a stable sort would put it.
-        Returns whether the route made the cut.
+        Its record is built only if it makes the cut; returns whether it
+        did.  Callers never pass a path that ends at this CH.
         """
-        path, qos = route
         dest = path[-1]
-        if dest == self.own_hnid:
-            return False
-        existing = self._routes.setdefault(dest, [])
+        existing = self._routes.get(dest)
+        if existing is None:
+            existing = self._routes[dest] = []
         for i, other in enumerate(existing):
             if other.path == path:
                 del existing[i]       # paths are unique within a list
                 break
-        key = (len(path), qos.delay)
+        key = (len(path), delay)
         at = 0
-        for other in existing:
-            if key < (len(other.path), other.qos.delay):
+        for other_path, other_qos in existing:
+            if key < (len(other_path), other_qos.delay):
                 break
             at += 1
         cap = self.routes_per_destination
-        if at < cap:
-            existing.insert(at, route)
-            if qos.measured_at < self._oldest:
-                self._oldest = qos.measured_at
+        if at >= cap:
+            return False
+        existing.insert(at, LogicalRoute(path, LinkQoS(delay, bandwidth, measured_at)))
         del existing[cap:]
-        return at < cap
+        if measured_at < self._oldest:
+            self._oldest = measured_at
+        return True
 
     def prune_expired(self, now: float) -> int:
         """Drop routes whose QoS measurement is older than ``expiry`` seconds.
@@ -171,11 +177,18 @@ class LogicalRouteTable:
     def routes_to(self, destination: int) -> List[LogicalRoute]:
         return list(self._routes.get(destination, []))
 
-    def advertisement(self) -> List[LogicalRoute]:
-        """Routes advertised in this CH's beacon (best route per destination).
+    def advertisement(self) -> List[AdvertisedRoute]:
+        """This CH's beacon: ``(path, delay, bandwidth)`` of the best route
+        per destination.
 
         Advertising only the best route per destination keeps the beacon
         size linear in the number of reachable CHs, which is what makes the
-        maintenance "local" in the paper's sense.
+        maintenance "local" in the paper's sense.  The receiver stamps the
+        measurement time itself.
         """
-        return [routes[0] for routes in self._routes.values() if routes]
+        advertised = []
+        for routes in self._routes.values():
+            if routes:
+                path, qos = routes[0]
+                advertised.append((path, qos.delay, qos.bandwidth))
+        return advertised

@@ -9,6 +9,7 @@ per-node forwarding counters.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -20,15 +21,22 @@ def jain_index(loads: Sequence[float]) -> float:
 
     1.0 means perfectly even load; ``1/n`` means a single node carries
     everything.  An empty or all-zero load vector is perfectly fair by
-    convention (nothing was carried at all).
+    convention (nothing was carried at all).  Loads so small that their
+    squares underflow are first divided by the largest of them; whole
+    packet counts never are.
     """
     values = [x for x in loads]
     if not values:
         return 1.0
     total = sum(values)
     squares = sum(x * x for x in values)
-    if squares == 0:
-        return 1.0
+    if squares < sys.float_info.min:
+        peak = max(abs(x) for x in values)
+        if peak == 0:
+            return 1.0
+        values = [x / peak for x in values]
+        total = sum(values)
+        squares = sum(x * x for x in values)
     return (total * total) / (len(values) * squares)
 
 

@@ -28,7 +28,7 @@ Radio and MAC models are registered by name (``unit_disk`` /
 declaratively and sweep grids can use them as axes.
 """
 
-from repro.simulation.engine import Simulator, Event, PeriodicTimer
+from repro.simulation.engine import Simulator, PeriodicTimer
 from repro.simulation.packet import Packet, PacketKind
 from repro.simulation.radio import RadioModel, UnitDiskRadio, LogDistanceRadio
 from repro.simulation.mac import MacModel, SimpleCsmaMac
@@ -41,7 +41,6 @@ from repro.simulation.groups import MulticastGroupManager, GroupEvent
 
 __all__ = [
     "Simulator",
-    "Event",
     "PeriodicTimer",
     "Packet",
     "PacketKind",

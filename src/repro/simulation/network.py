@@ -228,10 +228,12 @@ class Network:
         duty-cycle denial); the radio is told about the frame's on-air
         interval before reception at each candidate receiver is decided,
         so interference-aware radios can hold every concurrent frame
-        against it.  A broadcast is fire-and-forget: one attempt per
-        neighbour, so its receptions share ``delay`` and go to the engine
-        as one fan-out entry, and they share one received frame, which
-        every receiver must treat as read-only (see :class:`Packet`).  A
+        against it; a radio that hears its whole disc (see
+        :attr:`RadioModel.hears_whole_disc`) is neither told nor asked.
+        A broadcast is fire-and-forget: one attempt per neighbour, so its
+        receptions share ``delay`` and go to the engine as one fan-out
+        entry, and they share one received frame, which every receiver
+        must treat as read-only (see :class:`Packet`).  A
         unicast frame gets link-layer ARQ (802.11-style retries): up to
         ``1 + unicast_retries`` attempts, and its one receiver gets a
         copy of its own after the summed delays.  ``packet`` itself is
@@ -267,14 +269,15 @@ class Network:
             stats.control_bytes += size
         stats.airtime_seconds += airtime
         end = now + airtime
-        radio.note_transmission(sender, sender_pos, now, end)
+        # such a radio notes nothing, and the table admitted each neighbour
+        # by its own disc test on the same operands, so its answer would be
+        # 1.0; the draws against it stay
+        whole_disc = radio.hears_whole_disc
+        if not whole_disc:
+            radio.note_transmission(sender, sender_pos, now, end)
         draw = self.rng.random
 
         if destination is None:
-            # the table admitted each neighbour by such a radio's own disc
-            # test, on the same operands, so its answer would be 1.0; the
-            # draw against it stays
-            whole_disc = radio.hears_whole_disc
             # the one received frame all receivers share, made on the first
             frame: Optional[Packet] = None
             receptions: List[Tuple[MobileNode, Packet, int]] = []
@@ -307,7 +310,7 @@ class Network:
         total_delay = delay
         start = now
         while True:
-            p_rx = radio.reception_probability_during(
+            p_rx = 1.0 if whole_disc else radio.reception_probability_during(
                 sender, sender_pos, destination, target_pos, start, end
             )
             if draw() < p_rx and draw() >= mac_loss:
@@ -324,7 +327,8 @@ class Network:
             stats.airtime_seconds += airtime
             start = now + retries * delay
             end = start + airtime
-            radio.note_transmission(sender, sender_pos, start, end)
+            if not whole_disc:
+                radio.note_transmission(sender, sender_pos, start, end)
         if retries:
             stats.transmissions += retries
             stats.transmitted_bytes += retries * size
@@ -339,9 +343,7 @@ class Network:
             return
         copy = packet.copy_for_forwarding()
         copy.hops += 1
-        self.simulator.schedule(
-            total_delay, lambda r=receiver, c=copy, s=sender: self._deliver(r, c, s)
-        )
+        self.simulator.schedule(total_delay, self._deliver, args=(receiver, copy, sender))
 
     def _deliver(self, receiver: MobileNode, packet: Packet, sender: int) -> None:
         self.stats.receptions += 1

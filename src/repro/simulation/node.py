@@ -21,7 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class NodeStats:
-    """Per-node transmission / reception counters."""
+    """Per-node transmission / reception counters, bumped inline by
+    :class:`MobileNode`'s ``broadcast``, ``unicast`` and ``deliver``."""
 
     sent_packets: int = 0
     sent_bytes: int = 0
@@ -33,22 +34,6 @@ class NodeStats:
     sent_data_bytes: int = 0
     delivered_to_application: int = 0
     energy_consumed: float = 0.0
-
-    def record_send(self, packet: Packet, tx_energy: float) -> None:
-        self.sent_packets += 1
-        self.sent_bytes += packet.size_bytes
-        self.energy_consumed += tx_energy
-        if packet.kind is PacketKind.DATA:
-            self.sent_data_packets += 1
-            self.sent_data_bytes += packet.size_bytes
-        else:
-            self.sent_control_packets += 1
-            self.sent_control_bytes += packet.size_bytes
-
-    def record_receive(self, packet: Packet, rx_energy: float) -> None:
-        self.received_packets += 1
-        self.received_bytes += packet.size_bytes
-        self.energy_consumed += rx_energy
 
 
 class MobileNode:
@@ -83,6 +68,8 @@ class MobileNode:
         self.groups: Set[int] = set()
         self.alive = True
         self._agents: List["ProtocolAgent"] = []
+        #: protocol name -> its agents, in attach order
+        self._agents_by_protocol: Dict[str, List["ProtocolAgent"]] = {}
         self._network: Optional["Network"] = None
 
     # ------------------------------------------------------------------
@@ -94,6 +81,7 @@ class MobileNode:
             raise RuntimeError("node must be added to a Network before attaching agents")
         agent.bind(self, self._network)
         self._agents.append(agent)
+        self._agents_by_protocol.setdefault(agent.protocol_name, []).append(agent)
 
     def bind_network(self, network: "Network") -> None:
         self._network = network
@@ -150,29 +138,50 @@ class MobileNode:
         """Transmit ``packet`` to every physical neighbour."""
         if not self.alive:
             return
-        self.stats.record_send(packet, self.tx_energy)
+        stats = self.stats
+        size = packet.size_bytes
+        stats.sent_packets += 1
+        stats.sent_bytes += size
+        stats.energy_consumed += self.tx_energy
+        if packet.kind is PacketKind.DATA:
+            stats.sent_data_packets += 1
+            stats.sent_data_bytes += size
+        else:
+            stats.sent_control_packets += 1
+            stats.sent_control_bytes += size
         self.network.transmit(self.node_id, packet, destination=None)
 
     def unicast(self, destination: int, packet: Packet) -> None:
         """Transmit ``packet`` to a single physical neighbour."""
         if not self.alive:
             return
-        self.stats.record_send(packet, self.tx_energy)
+        stats = self.stats
+        size = packet.size_bytes
+        stats.sent_packets += 1
+        stats.sent_bytes += size
+        stats.energy_consumed += self.tx_energy
+        if packet.kind is PacketKind.DATA:
+            stats.sent_data_packets += 1
+            stats.sent_data_bytes += size
+        else:
+            stats.sent_control_packets += 1
+            stats.sent_control_bytes += size
         self.network.transmit(self.node_id, packet, destination=destination)
 
     def deliver(self, packet: Packet, from_node: int) -> None:
-        """Called by the network when a transmission reaches this node."""
+        """Called by the network when a transmission reaches this node.
+
+        Every agent of the packet's protocol gets it, in attach order; a
+        packet no agent's protocol matches goes to every agent.
+        """
         if not self.alive:
             return
-        self.stats.record_receive(packet, self.rx_energy)
-        matched = False
-        for agent in self._agents:
-            if agent.protocol_name == packet.protocol:
-                agent.on_packet(packet, from_node)
-                matched = True
-        if not matched:
-            for agent in self._agents:
-                agent.on_packet(packet, from_node)
+        stats = self.stats
+        stats.received_packets += 1
+        stats.received_bytes += packet.size_bytes
+        stats.energy_consumed += self.rx_energy
+        for agent in self._agents_by_protocol.get(packet.protocol) or self._agents:
+            agent.on_packet(packet, from_node)
 
     def deliver_to_application(self, packet: Packet) -> None:
         """Record that a multicast data packet reached this group member."""

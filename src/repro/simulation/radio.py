@@ -26,19 +26,25 @@ class RadioModel(abc.ABC):
 
     #: True only for a radio whose :meth:`reception_probability_during`
     #: returns exactly 1.0, and records nothing, for every pair that
-    #: :meth:`in_range` admits, whatever the interval.  ``Network.transmit``
-    #: then skips that call for a broadcast's table neighbours (it still
-    #: draws against 1.0).  A subclass that redefines either reception
-    #: method without restating the flag reads False.
+    #: :meth:`in_range` admits, whatever the interval, and whose
+    #: :meth:`note_transmission` does nothing.  ``Network.transmit`` then
+    #: makes neither call: it notes no frame and asks nothing about its
+    #: table neighbours, broadcast or unicast (it still draws against
+    #: 1.0).  A subclass that redefines either reception method or
+    #: :meth:`note_transmission` without restating the flag reads False.
     hears_whole_disc: bool = False
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        redefines_reception = (
-            "reception_probability" in cls.__dict__
-            or "reception_probability_during" in cls.__dict__
+        redefines_a_skipped_call = any(
+            name in cls.__dict__
+            for name in (
+                "reception_probability",
+                "reception_probability_during",
+                "note_transmission",
+            )
         )
-        if redefines_reception and "hears_whole_disc" not in cls.__dict__:
+        if redefines_a_skipped_call and "hears_whole_disc" not in cls.__dict__:
             cls.hears_whole_disc = False
 
     def in_range(self, a: Point, b: Point) -> bool:
@@ -66,8 +72,9 @@ class RadioModel(abc.ABC):
         """Inform the radio that ``sender`` occupies the medium over an interval.
 
         The transmit path calls this for every frame (retries included)
-        before deciding its receivers.  Interference-blind radios ignore
-        it; interference-aware radios record the interval for SINR
+        before deciding its receivers, unless the radio
+        :attr:`hears_whole_disc`.  Interference-blind radios ignore it;
+        interference-aware radios record the interval for SINR
         bookkeeping.
         """
 
@@ -94,7 +101,7 @@ class UnitDiskRadio(RadioModel):
     """Deterministic unit-disk radio: perfect reception within ``range_m``."""
 
     # reception_probability_during is in_range's test (nominal_range is
-    # range_m) and records nothing
+    # range_m) and records nothing, and no frame is noted
     hears_whole_disc = True
 
     def __init__(self, range_m: float = 250.0) -> None:

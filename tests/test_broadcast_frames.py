@@ -49,13 +49,13 @@ def test_receivers_leave_the_shared_frame_unchanged(protocol, monkeypatch):
     schedule = Simulator.schedule
     deliver = Network._deliver
 
-    def snapshotting_schedule(self, delay, callback, priority=0, each=None):
+    def snapshotting_schedule(self, delay, callback, priority=0, each=None, args=()):
         if each is not None:
             shared = {id(frame) for _, frame, _ in each}
             assert len(shared) == 1, "one broadcast, one received frame"
             frame = each[0][1]
             frames[id(frame)] = [frame, pickle.dumps(frame), 0]
-        return schedule(self, delay, callback, priority, each)
+        return schedule(self, delay, callback, priority, each, args)
 
     def checking_deliver(self, receiver, packet, sender):
         deliver(self, receiver, packet, sender)

@@ -13,7 +13,12 @@ def qos(delay=0.01, bandwidth=1e6, at=0.0):
 
 class TestLinkQoS:
     def test_combination_adds_delay_takes_min_bandwidth(self):
-        combined = qos(0.01, 2e6, at=5.0).combined_with(qos(0.02, 1e6, at=3.0))
+        # an advertised route, measured as its beacon arrives, extended by
+        # the link to its advertiser: the older measurement time holds
+        table = LogicalRouteTable(own_hnid=0)
+        table.update_neighbor(1, qos(0.01, 2e6, at=3.0))
+        table.integrate_advertisement(1, [((1, 3), 0.02, 1e6)], now=5.0)
+        combined = table.routes_to(3)[0].qos
         assert combined.delay == pytest.approx(0.03)
         assert combined.bandwidth == pytest.approx(1e6)
         assert combined.measured_at == 3.0
@@ -37,7 +42,7 @@ class TestLogicalRoute:
         # an advertised route is extended by the link to its advertiser
         table = LogicalRouteTable(own_hnid=0)
         table.update_neighbor(1, qos(0.01, 2e6))
-        table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos(0.02, 1e6))], now=0.0)
+        table.integrate_advertisement(1, [((1, 3), 0.02, 1e6)], now=0.0)
         longer = table.routes_to(3)[0]
         assert longer.path == (0, 1, 3)
         assert longer.qos.delay == pytest.approx(0.03)
@@ -62,7 +67,7 @@ class TestRouteTable:
         # route 1000 -> 1100 -> 1101
         table = LogicalRouteTable(own_hnid=0b1000)
         table.update_neighbor(0b1100, qos(0.01))
-        advertised = [LogicalRoute(path=(0b1100, 0b1101), qos=qos(0.02))]
+        advertised = [((0b1100, 0b1101), 0.02, 1e6)]
         accepted = table.integrate_advertisement(0b1100, advertised, now=0.0)
         assert accepted == 1
         route = table.routes_to(0b1101)[0]
@@ -73,7 +78,7 @@ class TestRouteTable:
     def test_advertisement_from_unknown_neighbor_ignored(self):
         table = LogicalRouteTable(own_hnid=0)
         accepted = table.integrate_advertisement(
-            1, [LogicalRoute(path=(1, 3), qos=qos())], now=0.0
+            1, [((1, 3), 0.01, 1e6)], now=0.0
         )
         assert accepted == 0
         assert table.advertisement() == []
@@ -81,23 +86,23 @@ class TestRouteTable:
     def test_looping_routes_rejected(self):
         table = LogicalRouteTable(own_hnid=0)
         table.update_neighbor(1, qos())
-        looping = [LogicalRoute(path=(1, 0), qos=qos()), LogicalRoute(path=(1, 3, 0), qos=qos())]
+        looping = [((1, 0), 0.01, 1e6), ((1, 3, 0), 0.01, 1e6)]
         assert table.integrate_advertisement(1, looping, now=0.0) == 0
 
     def test_hop_bound_enforced(self):
         table = LogicalRouteTable(own_hnid=0, max_logical_hops=2)
         table.update_neighbor(1, qos())
-        too_long = [LogicalRoute(path=(1, 3, 7), qos=qos())]   # would be 3 hops from 0
+        too_long = [((1, 3, 7), 0.01, 1e6)]   # would be 3 hops from 0
         assert table.integrate_advertisement(1, too_long, now=0.0) == 0
-        ok = [LogicalRoute(path=(1, 3), qos=qos())]
+        ok = [((1, 3), 0.01, 1e6)]
         assert table.integrate_advertisement(1, ok, now=0.0) == 1
 
     def test_multiple_routes_per_destination_kept_sorted(self):
         table = LogicalRouteTable(own_hnid=0, routes_per_destination=2)
         table.update_neighbor(1, qos(0.01))
         table.update_neighbor(2, qos(0.02))
-        table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos(0.01))], now=0.0)
-        table.integrate_advertisement(2, [LogicalRoute(path=(2, 3), qos=qos(0.05))], now=0.0)
+        table.integrate_advertisement(1, [((1, 3), 0.01, 1e6)], now=0.0)
+        table.integrate_advertisement(2, [((2, 3), 0.05, 1e6)], now=0.0)
         routes = table.routes_to(3)
         assert len(routes) == 2
         assert routes[0].qos.delay <= routes[1].qos.delay
@@ -108,8 +113,8 @@ class TestRouteTable:
         table = LogicalRouteTable(own_hnid=0, routes_per_destination=1)
         table.update_neighbor(1, qos(0.01))
         table.update_neighbor(2, qos(0.02))
-        table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos(0.01))], now=0.0)
-        table.integrate_advertisement(2, [LogicalRoute(path=(2, 3), qos=qos(0.05))], now=0.0)
+        table.integrate_advertisement(1, [((1, 3), 0.01, 1e6)], now=0.0)
+        table.integrate_advertisement(2, [((2, 3), 0.05, 1e6)], now=0.0)
         assert len(table.routes_to(3)) == 1
 
     def test_refresh_replaces_same_path(self):
@@ -130,10 +135,10 @@ class TestRouteTable:
         table = LogicalRouteTable(own_hnid=0, routes_per_destination=3)
         table.update_neighbor(1, qos(0.01))
         table.update_neighbor(2, qos(0.02))
-        table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos())], now=0.0)
-        table.integrate_advertisement(2, [LogicalRoute(path=(2, 3), qos=qos())], now=0.0)
+        table.integrate_advertisement(1, [((1, 3), 0.01, 1e6)], now=0.0)
+        table.integrate_advertisement(2, [((2, 3), 0.01, 1e6)], now=0.0)
         adv = table.advertisement()
-        destinations = [r.path[-1] for r in adv]
+        destinations = [path[-1] for path, _, _ in adv]
         assert len(destinations) == len(set(destinations))
         assert set(destinations) == {1, 2, 3}
 
@@ -142,11 +147,11 @@ class TestRouteTable:
         table = LogicalRouteTable(own_hnid=0, expiry=5.0)
         table.update_neighbor(1, qos(at=0.0))
         table.update_neighbor(2, qos(at=0.0))
-        table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos(at=0.0))], now=0.0)
-        table.integrate_advertisement(2, [LogicalRoute(path=(2, 3), qos=qos(at=0.0))], now=0.0)
+        table.integrate_advertisement(1, [((1, 3), 0.01, 1e6)], now=0.0)
+        table.integrate_advertisement(2, [((2, 3), 0.01, 1e6)], now=0.0)
         table.update_neighbor(2, qos(at=8.0))
-        table.integrate_advertisement(2, [LogicalRoute(path=(2, 3), qos=qos(at=8.0))], now=8.0)
-        assert [r.path[1] for r in table.advertisement()] == [2, 2]
+        table.integrate_advertisement(2, [((2, 3), 0.01, 1e6)], now=8.0)
+        assert [path[1] for path, _, _ in table.advertisement()] == [2, 2]
         remaining = table.routes_to(3)
         assert remaining and all(r.path[1] == 2 for r in remaining)
         assert table.routes_to(1) == []
@@ -155,7 +160,7 @@ class TestRouteTable:
         # the next logical hop is the second HNID of the best route
         table = LogicalRouteTable(own_hnid=0)
         table.update_neighbor(1, qos())
-        table.integrate_advertisement(1, [LogicalRoute(path=(1, 3), qos=qos())], now=0.0)
+        table.integrate_advertisement(1, [((1, 3), 0.01, 1e6)], now=0.0)
         chid_lookup = {1: 101, 3: 103}
         assert chid_lookup[table.routes_to(3)[0].path[1]] == 101
         assert table.routes_to(9) == []
@@ -177,7 +182,10 @@ class TestRouteTable:
 class ReferenceRouteTable:
     """The route table's update rules as they were written before the
     one-pass insert and the prune bound: rebuild, append, stable sort,
-    truncate, and a full walk on every prune."""
+    truncate, and a full walk on every prune.  Beacons carried records
+    then: :meth:`integrate_beacon` and :meth:`beacon` are the HVDB agent's
+    old conversions between them and a beacon's ``(path, delay,
+    bandwidth)`` triples."""
 
     def __init__(self, own_hnid, max_logical_hops, routes_per_destination, expiry):
         self.own_hnid = own_hnid
@@ -209,7 +217,11 @@ class ReferenceRouteTable:
                 continue
             combined = LogicalRoute(
                 path=(self.own_hnid,) + route.path,
-                qos=link.combined_with(route.qos),
+                qos=LinkQoS(
+                    link.delay + route.qos.delay,
+                    min(link.bandwidth, route.qos.bandwidth),
+                    min(link.measured_at, route.qos.measured_at),
+                ),
             )
             if self._insert(combined):
                 accepted += 1
@@ -242,6 +254,16 @@ class ReferenceRouteTable:
     def advertisement(self):
         return [routes[0] for routes in self._routes.values() if routes]
 
+    def integrate_beacon(self, neighbor_hnid, triples, now):
+        advertised = [
+            LogicalRoute(path, LinkQoS(path_delay, path_bandwidth, now))
+            for path, path_delay, path_bandwidth in triples
+        ]
+        return self.integrate_advertisement(neighbor_hnid, advertised, now)
+
+    def beacon(self):
+        return [(path, qos.delay, qos.bandwidth) for path, qos in self.advertisement()]
+
 
 _HNIDS = st.integers(min_value=0, max_value=5)
 # two delays only, so (logical hops, delay) keys tie often
@@ -250,6 +272,8 @@ _QOS = st.tuples(
     st.sampled_from([1e5, 5e5]),                  # bandwidth
     st.sampled_from([0.0, 0.5, 2.0, 2.5, 6.0]),   # age of the measurement
 )
+#: an advertised route's (delay, bandwidth); its receiver measures it now
+_ADVERTISED_QOS = st.tuples(st.sampled_from([0.01, 0.02]), st.sampled_from([1e5, 5e5]))
 _OPERATIONS = st.one_of(
     st.tuples(st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0])),
     st.tuples(st.just("update"), _HNIDS, _QOS),
@@ -262,7 +286,7 @@ _OPERATIONS = st.one_of(
                 st.sampled_from([True, True, True, False]),
                 _HNIDS,
                 st.lists(_HNIDS, min_size=1, max_size=3),
-                _QOS,
+                _ADVERTISED_QOS,
             ),
             max_size=6,
         ),
@@ -271,6 +295,7 @@ _OPERATIONS = st.one_of(
 )
 
 _FRESH = (0.01, 1e5, 0.0)
+_ADVERTISED = (0.01, 1e5)
 
 
 def _outcome(call, *args):
@@ -298,9 +323,9 @@ class TestRouteTableMatchesReference:
         operations=[
             ("update", 1, _FRESH),
             ("update", 2, _FRESH),
-            ("advertise", 1, [(True, 0, [3], _FRESH)]),
-            ("advertise", 2, [(True, 0, [3], _FRESH)]),
-            ("advertise", 1, [(True, 0, [3], _FRESH)]),
+            ("advertise", 1, [(True, 0, [3], _ADVERTISED)]),
+            ("advertise", 2, [(True, 0, [3], _ADVERTISED)]),
+            ("advertise", 1, [(True, 0, [3], _ADVERTISED)]),
         ],
     )
     # a route exactly at the expiry survives a prune, half a second later
@@ -336,21 +361,21 @@ class TestRouteTableMatchesReference:
                 continue
             if kind == "update":
                 args = (operation[1], link(*operation[2]))
-                name = "update_neighbor"
+                name = reference_name = "update_neighbor"
             elif kind == "advertise":
                 neighbor = operation[1]
-                advertised = [
-                    LogicalRoute(((neighbor,) if first else (other,)) + tuple(tail), link(*q))
-                    for first, other, tail, q in operation[2]
+                triples = [
+                    (((neighbor,) if first else (other,)) + tuple(tail), delay, bandwidth)
+                    for first, other, tail, (delay, bandwidth) in operation[2]
                 ]
-                args = (neighbor, advertised, now)
-                name = "integrate_advertisement"
+                args = (neighbor, triples, now)
+                name, reference_name = "integrate_advertisement", "integrate_beacon"
             else:
                 args = (now,)
-                name = "prune_expired"
+                name = reference_name = "prune_expired"
             assert _outcome(getattr(table, name), *args) == (
-                _outcome(getattr(reference, name), *args)
+                _outcome(getattr(reference, reference_name), *args)
             ), operation
             assert list(table._routes.items()) == list(reference._routes.items())
-            assert table.advertisement() == reference.advertisement()
+            assert table.advertisement() == reference.beacon()
             assert table._neighbor_qos == reference._neighbor_qos

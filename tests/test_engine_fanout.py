@@ -2,11 +2,12 @@
 
 ``Simulator.schedule(..., each=[...])`` makes several same-time calls from
 one heap entry.  The contract is that nothing observable changes: the
-calls interleave with every other event, ``now`` and ``processed_events``
-read the same inside each call, and ``cancel`` acts call by call.
+calls interleave with every other event, and ``now`` and
+``processed_events`` read the same inside each call.
 :class:`ReferenceSimulator` is the engine as it was before fan-outs
-existed, kept verbatim, and every schedule here is run on both: a fan-out
-on the reference becomes one ``schedule`` per call.
+existed, kept verbatim with its :class:`Event` handle, and every schedule
+here is run on both: a fan-out on the reference becomes one ``schedule``
+per call.
 """
 
 from __future__ import annotations
@@ -21,7 +22,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.engine import Event, Simulator
+from repro.simulation.engine import Simulator
+
+
+class Event:
+    """Handle of one scheduled event, returned so the caller can cancel it.
+
+    Simultaneous events run in a deterministic order (lower priority value
+    first, then FIFO); that order is kept by the heap entry, not here.
+    """
+
+    __slots__ = ("time", "callback", "cancelled")
+
+    def __init__(self, time: float, callback: Callable[[], None]) -> None:
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        """Prevent the event from firing (it stays in the heap but is skipped)."""
+        self.cancelled = True
 
 
 class ReferenceSimulator:
@@ -79,7 +99,6 @@ _ACTION = st.one_of(
     st.just(("none",)),
     st.tuples(st.just("event"), _DELAY, _PRIORITY),
     st.tuples(st.just("fan_out"), _DELAY, _PRIORITY, st.integers(min_value=1, max_value=8)),
-    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=20)),
 )
 _INITIAL = st.lists(
     st.tuples(
@@ -108,7 +127,6 @@ class Harness:
         self.fan_out = fan_out
         self.script = script
         self.log: List[tuple] = []
-        self.handles: List[List[Event]] = []
         self.calls = 0
         self.labels = itertools.count()
 
@@ -123,9 +141,6 @@ class Harness:
             self.schedule(action[1], action[2], None)
         elif kind == "fan_out":
             self.schedule(action[1], action[2], action[3])
-        elif kind == "cancel" and self.handles:
-            for handle in self.handles[action[1] % len(self.handles)]:
-                handle.cancel()
 
     def schedule(self, delay: float, priority: int, calls: Optional[int]) -> None:
         label = next(self.labels)
@@ -134,12 +149,10 @@ class Harness:
             sim.schedule(delay, lambda: self.call(label, None), priority)
         elif self.fan_out:
             each = [(label, i) for i in range(calls)]
-            self.handles.append([sim.schedule(delay, self.call, priority, each=each)])
+            sim.schedule(delay, self.call, priority, each=each)
         else:
-            self.handles.append([
+            for i in range(calls):
                 sim.schedule(delay, lambda i=i: self.call(label, i), priority)
-                for i in range(calls)
-            ])
 
     def play(self, initial, steps) -> List[tuple]:
         """Schedule ``initial``, run ``steps``, then flush; returns the outcomes."""
@@ -210,21 +223,6 @@ class TestFanOutMatchesOneEntryPerCall:
         assert entries == [1]   # the fan-out's last call: one entry
         assert sim.processed_events == 4
 
-    def test_cancel_drops_the_calls_not_made_yet(self):
-        sim = Simulator()
-        order = []
-        handle = None
-
-        def deliver(receiver):
-            order.append(receiver)
-            if receiver == 1:
-                handle.cancel()
-
-        handle = sim.schedule(1.0, deliver, each=[(0,), (1,), (2,), (3,)])
-        sim.run_until(2.0)
-        assert order == [0, 1]
-        assert sim.processed_events == 2
-
     def test_drain_counts_calls(self):
         # one entry, but processed_events counts each of its calls
         sim = Simulator()
@@ -241,13 +239,18 @@ class TestFanOutMatchesOneEntryPerCall:
         with pytest.raises(ValueError):
             Simulator().schedule(1.0, print, each=[])
 
+    def test_a_fan_out_takes_its_arguments_from_each(self):
+        with pytest.raises(ValueError):
+            Simulator().schedule(1.0, print, each=[(1,)], args=(2,))
+
 
 class Payload:
     """A weakref-able stand-in for a packet copy."""
 
 
 class TestFanOutNeedsNoCycleCollector:
-    """A spent fan-out is freed by reference counting alone."""
+    """A fan-out is freed by reference counting alone: no fan-out refers
+    to itself or to its simulator."""
 
     def _run_with_gc_disabled(self, body) -> None:
         was_enabled = gc.isenabled()
@@ -290,5 +293,21 @@ class TestFanOutNeedsNoCycleCollector:
             sim.run_until(2.0)
             assert calls == [1, 0, 1, 1]
             assert [r() for r in refs] == [None] * 3
+
+        self._run_with_gc_disabled(body)
+
+    def test_unfired_fan_out_frees_its_items_with_its_simulator(self):
+        def body():
+            sim = Simulator()
+            waiting = [Payload() for _ in range(4)]
+            refs = [weakref.ref(p) for p in waiting]
+            sim.schedule(1.0, lambda p: None, each=[(p,) for p in waiting])
+            del waiting[:]
+            sim.run_until(0.5)
+            assert all(r() is not None for r in refs)   # still queued
+            sim_ref = weakref.ref(sim)
+            del sim
+            assert sim_ref() is None
+            assert [r() for r in refs] == [None] * 4
 
         self._run_with_gc_disabled(body)

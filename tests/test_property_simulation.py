@@ -87,24 +87,6 @@ class TestEngineProperties:
         assert fired == sorted(fired)
         assert len(fired) == len(delays)
 
-    @given(
-        st.lists(
-            st.tuples(st.floats(min_value=0.0, max_value=50.0), st.booleans()), max_size=30
-        )
-    )
-    def test_cancelled_events_never_fire(self, entries):
-        sim = Simulator()
-        fired = []
-        expected = 0
-        for delay, cancel in entries:
-            event = sim.schedule(delay, lambda d=delay: fired.append(d))
-            if cancel:
-                event.cancel()
-            else:
-                expected += 1
-        sim.run_until(100.0)
-        assert len(fired) == expected
-
 
 class TestPhyProperties:
     """Physical-layer invariants (see docs/physical-layer.md)."""

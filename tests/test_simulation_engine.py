@@ -30,6 +30,14 @@ class TestSimulator:
         sim.run_until(2.0)
         assert order == [0, 1, 2]
 
+    def test_callback_gets_its_arguments(self):
+        sim = Simulator()
+        calls = []
+        sim.schedule(1.0, lambda *args: calls.append(args), args=(1, "a"))
+        sim.schedule(2.0, lambda *args: calls.append(args))
+        sim.run_until(3.0)
+        assert calls == [(1, "a"), ()]
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Simulator().schedule(-1.0, lambda: None)
@@ -57,14 +65,6 @@ class TestSimulator:
         sim.run_until(5.0)
         with pytest.raises(ValueError):
             sim.run_until(2.0)
-
-    def test_event_cancellation(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, lambda: fired.append(1))
-        event.cancel()
-        sim.run_until(2.0)
-        assert fired == []
 
     def test_events_scheduled_during_execution(self):
         sim = Simulator()
@@ -137,9 +137,9 @@ class TestPeriodicTimer:
         timer = PeriodicTimer(sim, 1.0, lambda: ticks.append(sim.now))
         sim.run_until(3.5)
         timer.stop()
-        assert timer._event.cancelled    # its next tick is cancelled in the heap
         sim.run_until(10.0)
-        assert ticks == [1.0, 2.0, 3.0]
+        assert ticks == [1.0, 2.0, 3.0]     # no tick after stop()
+        assert sim._heap == []              # the pending tick ran as a no-op
 
     def test_jitter_requires_rng(self):
         sim = Simulator()

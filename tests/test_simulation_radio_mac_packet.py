@@ -116,6 +116,24 @@ class TestUnitDiskRadio:
         assert not Fading.hears_whole_disc
         assert Restated.hears_whole_disc
 
+    def test_a_radio_that_notes_frames_is_sent_its_notes(self):
+        # the transmit path sends a whole-disc radio no notes, so a
+        # subclass that redefines note_transmission must not inherit the flag
+        class Noting(UnitDiskRadio):
+            def __init__(self):
+                super().__init__(250.0)
+                self.notes = []
+
+            def note_transmission(self, sender, position, start, end):
+                self.notes.append((sender, start))
+
+        assert not Noting.hears_whole_disc
+        network = make_static_network({0: Point(100.0, 100.0), 1: Point(200.0, 100.0)})
+        radio = network.config.radio = Noting()
+        network.transmit(0, control_packet("p", "ctl", 0, 100, 0.0), None)
+        network.transmit(0, control_packet("p", "ctl", 0, 100, 0.0), 1)
+        assert radio.notes == [(0, 0.0), (0, 0.0)]
+
 
 def reference_unit_disk_probability(radio, a, b):
     """``reception_probability`` -> ``in_range`` -> ``distance``, as the
